@@ -15,6 +15,9 @@ let rpc t ?timeout ?bytes ~from ep msg =
     | Message.Reject e -> Future.fail (Error.Fdb e)
     | reply -> Future.return reply)
 
+let window_start_version t =
+  Int64.of_float ((Engine.now () -. t.config.Config.mvcc_window) *. Types.versions_per_second)
+
 let paxos_transport t ~from =
   {
     Fdb_paxos.Wire.endpoints = t.coordinator_eps;

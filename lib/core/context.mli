@@ -30,6 +30,12 @@ val rpc :
     [Reject e] reply is raised as [Error.Fdb e] so callers pattern-match
     only success shapes. *)
 
+val window_start_version : t -> Types.version
+(** The version simulated time had reached one MVCC window ago (versions
+    track simulated time at {!Types.versions_per_second}). Work parked on
+    a predecessor versioned below it can never be unparked: every RPC that
+    could still carry that predecessor has long timed out. *)
+
 val paxos_transport : t -> from:Fdb_sim.Process.t -> Fdb_paxos.Wire.transport
 (** Coordinator transport for Paxos clients running on [from]. *)
 

@@ -34,8 +34,13 @@ type t = {
      pipelined proxy this is a hot path: batch N+1's push routinely lands
      while batch N is still on the wire. *)
   pending : (Types.version, Message.log_entry * Message.t Future.promise) Det_tbl.t;
-  (* Per-tag unpopped payload, oldest first (reversed storage). *)
+  (* Per-tag unpopped payload, newest first: a peek walks only the suffix
+     it returns. *)
   per_tag : (Types.tag, (Types.version * Fdb_kv.Mutation.t list) list ref) Hashtbl.t;
+  (* Held long-poll peeks: each waits for [rcv] to reach its from-version.
+     The promises are unlabeled — the poll timer guarantees resolution
+     (lifecycle-sanitizer convention for timer-backed promises). *)
+  mutable peekers : (Types.version * unit Future.promise) list;
   pop_floor : (Types.tag, Types.version) Det_tbl.t;
   (* Records appended to disk but not yet synced, with their promises. *)
   mutable waiting_sync : (Types.version * unit Future.promise) list;
@@ -77,7 +82,15 @@ let index_payload t (e : Message.log_entry) =
               Hashtbl.add t.per_tag tag l;
               l
         in
-        l := (e.Message.le_lsn, muts) :: !l
+        (* Chain pushes arrive in LSN order, so this is a cons; recovery
+           seeds may not, and are slotted in place. *)
+        let lsn = e.Message.le_lsn in
+        let rec insert = function
+          | (v, _) :: _ as rest when v < lsn -> (lsn, muts) :: rest
+          | [] -> [ (lsn, muts) ]
+          | x :: rest -> x :: insert rest
+        in
+        l := insert !l
       end)
     e.Message.le_payload;
   t.unpopped_bytes <- t.unpopped_bytes + entry_bytes e
@@ -117,6 +130,20 @@ let persist_entry t (e : Message.log_entry) =
       Fdb_obs.Registry.observe t.obs_append_lat (Engine.now () -. t0);
       Fdb_obs.Registry.set_gauge t.obs_dv (Int64.to_float t.dv))
 
+(* Release held peeks: those whose from-version [rcv] has reached, or all
+   of them (the server was locked; they reply Wrong_epoch). Replies are
+   built synchronously by the woken handlers, after the new record is
+   indexed. *)
+let wake_peekers t ~all =
+  if t.peekers <> [] then begin
+    let ready, held =
+      if all then (t.peekers, [])
+      else List.partition (fun (from, _) -> from <= t.rcv) t.peekers
+    in
+    t.peekers <- held;
+    List.iter (fun (_, p) -> ignore (Future.try_fulfill p () : bool)) ready
+  end
+
 (* Accept an in-chain-order record: index it, persist it, and return the
    durability future. Then drain any pending successors. *)
 let rec accept t (e : Message.log_entry) =
@@ -125,6 +152,7 @@ let rec accept t (e : Message.log_entry) =
   t.rcv <- e.Message.le_lsn;
   if e.Message.le_kcv > t.kcv then t.kcv <- e.Message.le_kcv;
   index_payload t e;
+  wake_peekers t ~all:false;
   Fdb_obs.Registry.incr t.obs_pushes;
   Fdb_obs.Registry.set_gauge t.obs_rcv (Int64.to_float t.rcv);
   Fdb_obs.Registry.set_gauge t.obs_unpopped (float_of_int t.unpopped_bytes);
@@ -146,13 +174,25 @@ let rec accept t (e : Message.log_entry) =
   | None -> ());
   durable
 
+(* Entries at or above [from_version] and above the pop floor, oldest
+   first; walks only the newest-first prefix it returns. *)
 let tag_entries t tag ~from_version =
   let floor = Option.value (Det_tbl.find_opt t.pop_floor tag) ~default:Int64.min_int in
+  let lo = if from_version > floor then from_version else Int64.succ floor in
   match Hashtbl.find_opt t.per_tag tag with
   | None -> []
   | Some l ->
-      List.filter (fun (v, _) -> v >= from_version && v > floor) !l
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
+      let rec take acc = function
+        | ((v, _) as x) :: rest when v >= lo -> take (x :: acc) rest
+        | _ -> acc
+      in
+      take [] !l
+
+let peek_reply t tag ~from_version =
+  if t.stopped then Message.Reject Error.Wrong_epoch
+  else
+    Message.Log_peek_reply
+      { pk_entries = tag_entries t tag ~from_version; pk_end = t.rcv; pk_kcv = t.kcv }
 
 let do_pop t tag up_to =
   let old_floor = Option.value (Det_tbl.find_opt t.pop_floor tag) ~default:Int64.min_int in
@@ -219,13 +259,34 @@ let prune t =
   end
   else Future.return ()
 
+(* A parked push whose missing predecessor was versioned before the MVCC
+   window began can never be unparked: every push that could carry the
+   predecessor has timed out, so its proxy has died and the epoch is over
+   even if no recovery has locked this server. Reply Wrong_epoch, as
+   [Log_lock] would. *)
+let break_stranded t =
+  let before = Context.window_start_version t.ctx in
+  let stranded =
+    Det_tbl.fold
+      (fun prev (e, promise) acc -> if prev < before then (prev, e, promise) :: acc else acc)
+      t.pending []
+  in
+  List.iter
+    (fun (prev, (e : Message.log_entry), promise) ->
+      Det_tbl.remove t.pending prev;
+      Trace.emit "tlog_park_stranded" [ ("lsn", Int64.to_string e.Message.le_lsn) ];
+      ignore (Future.try_fulfill promise (Message.Reject Error.Wrong_epoch) : bool))
+    stranded
+
 let prune_loop t =
   let rec loop () =
     let* () = Engine.sleep 2.0 in
     if t.stopped then Future.return ()
-    else
+    else begin
+      break_stranded t;
       let* () = prune t in
       loop ()
+    end
   in
   loop ()
 
@@ -300,11 +361,26 @@ let handle t (msg : Message.t) : Message.t Future.t =
         else Future.return (Message.Reject (Error.Internal "tlog: chain regression"))
       end
   | Message.Log_peek { tag; from_version } ->
-      if t.stopped then Future.return (Message.Reject Error.Wrong_epoch)
-      else
-      let entries = tag_entries t tag ~from_version in
-      Future.return
-        (Message.Log_peek_reply { pk_entries = entries; pk_end = t.rcv; pk_kcv = t.kcv })
+      if t.stopped || from_version <= t.rcv then
+        Future.return (peek_reply t tag ~from_version)
+      else begin
+        (* Long-poll (the template is Ss_watch): hold the peek until [rcv]
+           reaches [from_version] — [rcv], not this tag's data, because the
+           storage server's version must keep moving for reads — or the
+           poll times out, or [Log_lock] stops the server. *)
+        let fut, promise = Future.make () in
+        t.peekers <- (from_version, promise) :: t.peekers;
+        Future.catch
+          (fun () ->
+            let* () = Engine.timeout Params.log_peek_poll_timeout fut in
+            Future.return (peek_reply t tag ~from_version))
+          (function
+            | Engine.Timed_out ->
+                t.peekers <- List.filter (fun (_, p) -> p != promise) t.peekers;
+                ignore (Future.try_break promise Engine.Timed_out : bool);
+                Future.return (peek_reply t tag ~from_version)
+            | e -> Future.fail e)
+      end
   | Message.Log_pop { tag; up_to } ->
       do_pop t tag up_to;
       Future.return Message.Ok_reply
@@ -324,6 +400,7 @@ let handle t (msg : Message.t) : Message.t Future.t =
                 Trace.emit "tlog_parked_ack_lost"
                   [ ("lsn", Int64.to_string e.Message.le_lsn) ])
             parked;
+          wake_peekers t ~all:true;
           Trace.emit "tlog_locked"
             [ ("id", string_of_int t.id); ("epoch", string_of_int t.epoch);
               ("by", string_of_int ll_epoch); ("dv", Int64.to_string t.dv) ]
@@ -386,6 +463,7 @@ let resurrect ctx proc ~disk ~(meta : meta) =
       next = Hashtbl.create 1024;
       pending = Det_tbl.create ~size:4 ();
       per_tag = Hashtbl.create 64;
+      peekers = [];
       pop_floor = Det_tbl.create ~size:64 ();
       waiting_sync = [];
       sync_scheduled = false;
@@ -478,6 +556,7 @@ let create ctx proc ~disk ~epoch ~id ~start_lsn =
       next = Hashtbl.create 1024;
       pending = Det_tbl.create ~size:16 ();
       per_tag = Hashtbl.create 64;
+      peekers = [];
       pop_floor = Det_tbl.create ~size:64 ();
       waiting_sync = [];
       sync_scheduled = false;

@@ -30,7 +30,15 @@ let grv_batch_interval = 5e-4
 let commit_batch_interval = ref 1e-3
 let max_commit_batch = ref 512
 let proxy_commit_pipeline_depth = ref 4
+(* Storage servers pull their tag from the logs with long-poll peeks: a
+   log server holds a peek until its received version reaches the peek's
+   from-version, or for at most [log_peek_poll_timeout] — well inside the
+   storage server's 1 s peek RPC timeout, so a healthy but idle log never
+   looks dead. A storage server re-peeks as soon as a reply arrives and
+   sleeps [storage_peek_interval] only after a failed peek (the failure
+   backoff). *)
 let storage_peek_interval = 5e-3
+let log_peek_poll_timeout = 0.5
 let storage_durable_interval = 0.25
 let heartbeat_interval = 0.25
 let heartbeat_timeout = 1.0

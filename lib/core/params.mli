@@ -54,7 +54,14 @@ val proxy_commit_pipeline_depth : int ref
     baseline). Mutable: benches sweep it; tests pin it. *)
 
 val storage_peek_interval : float
-(** How often a StorageServer polls its LogServer for new mutations. *)
+(** Failure backoff of a StorageServer's pull loop: the pause after a
+    failed peek (timeout, locked log, no log known) before the next one.
+    A successful peek is followed at once by the next. *)
+
+val log_peek_poll_timeout : float
+(** Longest a LogServer holds a long-poll peek whose from-version is above
+    its received version before replying empty with its current received
+    version. Must stay below the storage server's 1 s peek RPC timeout. *)
 
 val storage_durable_interval : float
 (** How often buffered window data is persisted (longer delay coalesces

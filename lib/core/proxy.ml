@@ -280,28 +280,30 @@ let push_to_logs t entries =
 (* Materialize the winners' mutations in batch order (reverse-accumulate,
    one final reverse — the former [acc @ ...] was quadratic in batch
    size). *)
-let committed_payload lsn txns verdicts promises =
+let committed_payload lsn txns verdicts =
   let rev = ref [] in
   Array.iteri
     (fun i verdict ->
-      match verdict with
-      | Message.V_commit ->
-          rev := List.rev_append (materialize_mutations lsn i txns.(i)) !rev
-      | Message.V_conflict ->
-          ignore
-            (Future.try_fulfill promises.(i) (Message.Reject Error.Not_committed) : bool)
-      | Message.V_too_old ->
-          ignore
-            (Future.try_fulfill promises.(i) (Message.Reject Error.Transaction_too_old)
-             : bool))
+      if verdict = Message.V_commit then
+        rev := List.rev_append (materialize_mutations lsn i txns.(i)) !rev)
     verdicts;
   List.rev !rev
 
-let reply_committed promises verdicts reply =
+(* Reply to every transaction of a batch once the batch's fate is settled,
+   after logging — as FDB's commit proxy does, so a client never learns an
+   outcome while the batch that decided it is still in flight. Losers get
+   their definite error whatever happened to the batch (nothing of theirs
+   was logged); winners get [reply]. *)
+let reply_batch promises verdicts reply =
   Array.iteri
     (fun i verdict ->
-      if verdict = Message.V_commit then
-        ignore (Future.try_fulfill promises.(i) reply : bool))
+      let r =
+        match verdict with
+        | Message.V_commit -> reply
+        | Message.V_conflict -> Message.Reject Error.Not_committed
+        | Message.V_too_old -> Message.Reject Error.Transaction_too_old
+      in
+      ignore (Future.try_fulfill promises.(i) r : bool))
     verdicts
 
 (* ---------- the serial commit path (pipeline depth 1) ----------
@@ -336,13 +338,12 @@ let commit_batch t (batch : pending_commit list) =
   match version_reply with
   | Message.Seq_version_reply { version = lsn; prev } ->
       let* verdicts = resolve_batch t lsn prev txns in
-      (* Abort losers immediately; build the committed payload. *)
-      let committed_mutations = committed_payload lsn txns verdicts promises in
+      let committed_mutations = committed_payload lsn txns verdicts in
       let entries = build_log_entries t lsn prev ~kcv:t.kcv committed_mutations in
       let* all_acked = push_to_logs t entries in
       if not all_acked then begin
         (* Durability unknown: recovery will decide. Fail the epoch. *)
-        reply_committed promises verdicts (Message.Reject Error.Commit_unknown_result);
+        reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
         die t "log push failed";
         Future.return ()
       end
@@ -367,14 +368,14 @@ let commit_batch t (batch : pending_commit list) =
         if not reported then begin
           (* Durable but unannounced: only a new generation restores the
              GRV guarantee; clients must treat the outcome as unknown. *)
-          reply_committed promises verdicts (Message.Reject Error.Commit_unknown_result);
+          reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
           die t "sequencer unreachable (report)";
           Future.return ()
         end
         else begin
           Trace.emit "proxy_commit_done"
             [ ("lsn", Int64.to_string lsn); ("kcv", Int64.to_string t.kcv) ];
-          reply_committed promises verdicts (Message.Commit_reply lsn);
+          reply_batch promises verdicts (Message.Commit_reply lsn);
           Future.return ()
         end
       end
@@ -472,9 +473,7 @@ let commit_batch_pipelined t ~version_gate ~version_ready ~prev_done ~done_p
         let t_resolve = Engine.now () in
         let* verdicts = resolve_batch t lsn prev txns in
         Fdb_obs.Registry.observe t.obs_resolve_lat (Engine.now () -. t_resolve);
-        (* Losers are definite regardless of how the rest of the pipeline
-           fares: nothing of theirs is ever logged. *)
-        let committed_mutations = committed_payload lsn txns verdicts promises in
+        let committed_mutations = committed_payload lsn txns verdicts in
         (* Capture the KCV once, here: stamping [t.kcv] read any later
            would let a concurrently-running batch observe a KCV its own
            chain position has not reached. *)
@@ -488,12 +487,12 @@ let commit_batch_pipelined t ~version_gate ~version_ready ~prev_done ~done_p
           (* An earlier LSN failed the epoch. Our push may or may not
              survive the coming recovery: never report or reply success
              past a failed LSN. *)
-          reply_committed promises verdicts (Message.Reject Error.Commit_unknown_result);
+          reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
           finish Batch_failed
         end
         else if not all_acked then begin
           (* Durability unknown: recovery will decide. Fail the epoch. *)
-          reply_committed promises verdicts (Message.Reject Error.Commit_unknown_result);
+          reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
           die t "log push failed";
           finish Batch_failed
         end
@@ -517,14 +516,14 @@ let commit_batch_pipelined t ~version_gate ~version_ready ~prev_done ~done_p
           if not reported then begin
             (* Durable but unannounced: only a new generation restores the
                GRV guarantee; clients must treat the outcome as unknown. *)
-            reply_committed promises verdicts (Message.Reject Error.Commit_unknown_result);
+            reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
             die t "sequencer unreachable (report)";
             finish Batch_failed
           end
           else begin
             Trace.emit "proxy_commit_done"
               [ ("lsn", Int64.to_string lsn); ("kcv", Int64.to_string t.kcv) ];
-            reply_committed promises verdicts (Message.Commit_reply lsn);
+            reply_batch promises verdicts (Message.Commit_reply lsn);
             finish Batch_ok
           end
         end

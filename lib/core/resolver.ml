@@ -151,6 +151,28 @@ let handle t (msg : Message.t) : Message.t Future.t =
       end
   | _ -> Future.return (Message.Reject (Error.Internal "resolver: unexpected message"))
 
+(* A parked batch whose missing predecessor was versioned before the MVCC
+   window began waits for a batch that can never arrive: its proxy has
+   given up or its epoch has ended. Nothing tells a resolver its epoch
+   ended (a recovery recruits new resolvers and leaves this one running),
+   so reply Wrong_epoch here instead of leaving the promise to dangle. *)
+let break_stranded t =
+  let before = Context.window_start_version t.ctx in
+  let stranded =
+    Fdb_util.Det_tbl.fold
+      (fun prev (_, promise) acc -> if prev < before then (prev, promise) :: acc else acc)
+      t.parked []
+  in
+  List.iter
+    (fun (prev, promise) ->
+      Fdb_util.Det_tbl.remove t.parked prev;
+      Trace.emit "resolver_park_stranded" [ ("prev", Int64.to_string prev) ];
+      ignore (Future.try_fulfill promise (Message.Reject Error.Wrong_epoch) : bool))
+    stranded;
+  if stranded <> [] then
+    Fdb_obs.Registry.set_gauge t.obs_parked
+      (float_of_int (Fdb_util.Det_tbl.length t.parked))
+
 (* Coalesce history that has left the MVCC window (§2.4.2: "modified keys
    expire after the MVCC window"). *)
 let expiry_loop t =
@@ -159,6 +181,7 @@ let expiry_loop t =
   in
   let rec loop () =
     let* () = Engine.sleep 1.0 in
+    break_stranded t;
     let floor = Int64.sub t.last_lsn window_versions in
     if floor > 0L then begin
       Rvm.expire t.rvm ~before:floor;

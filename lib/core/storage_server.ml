@@ -337,9 +337,13 @@ let refresh_from_coordinators t =
   Future.return ()
   end
 
+(* One peek and its apply; [true] when the log answered with data (or an
+   empty long-poll reply), [false] on any failure. *)
 let pull_once t =
   match preferred_log t with
-  | None -> refresh_from_coordinators t
+  | None ->
+      let* () = refresh_from_coordinators t in
+      Future.return false
   | Some log_ep ->
       let as_of_epoch = t.epoch in
       Future.catch
@@ -352,30 +356,38 @@ let pull_once t =
           | Message.Log_peek_reply { pk_entries; pk_end; pk_kcv } ->
               t.stale_pulls <- 0;
               (* fdb-lint: allow R5 -- deliberate pre-RPC snapshot: entries apply under the epoch in force when the peek was issued (Wrong_epoch protocol) *)
-              apply_entries t ~as_of_epoch pk_entries pk_end pk_kcv
-          | _ -> Future.return ())
+              let* () = apply_entries t ~as_of_epoch pk_entries pk_end pk_kcv in
+              Future.return true
+          | _ -> Future.return false)
         (function
           | Error.Fdb Error.Wrong_epoch ->
               (* The log server is locked: a recovery is in flight. *)
               t.stale_pulls <- t.stale_pulls + 1;
-              refresh_from_coordinators t
+              let* () = refresh_from_coordinators t in
+              Future.return false
           | exn ->
               Trace.emit "ss_pull_fail"
                 [ ("ss", string_of_int t.id); ("exn", Printexc.to_string exn) ];
               t.stale_pulls <- t.stale_pulls + 1;
-              if t.stale_pulls > 3 then refresh_from_coordinators t
-              else Future.return ())
+              let* () =
+                if t.stale_pulls > 3 then refresh_from_coordinators t else Future.return ()
+              in
+              Future.return false)
 
+(* The log holds each peek until it has something newer (long-poll), so
+   the next peek goes out as soon as a reply is applied; only a failed
+   peek backs off. *)
 let pull_loop t =
   let rec loop () =
     if not t.alive then Future.return ()
     else
+      let* ok = pull_once t in
       (* Buggify: a sluggish pull loop widens the lag/rollback windows. *)
-      let* () =
-        Engine.sleep
-          (Params.storage_peek_interval +. (Buggify.delay ~p:0.02 "ss_slow_peek" /. 5.0))
+      let delay =
+        (if ok then 0.0 else Params.storage_peek_interval)
+        +. (Buggify.delay ~p:0.02 "ss_slow_peek" /. 5.0)
       in
-      let* () = pull_once t in
+      let* () = if delay > 0.0 then Engine.sleep delay else Future.return () in
       loop ()
   in
   loop ()

@@ -8,16 +8,20 @@ type task = {
   t_time : float;
   t_seq : int;
   t_owner : (Process.t * int) option; (* process, incarnation at schedule time *)
-  t_run : unit -> unit;
+  mutable t_run : unit -> unit;
+  mutable t_queued : bool; (* still in the heap and not cancelled *)
 }
+
+type timer = task
+
+let noop () = ()
 
 (* Binary min-heap on (time, seq). seq breaks ties FIFO, which is what makes
    the whole simulation deterministic. *)
 module Heap = struct
   type t = { mutable arr : task array; mutable len : int }
 
-  let dummy =
-    { t_time = 0.0; t_seq = 0; t_owner = None; t_run = (fun () -> ()) }
+  let dummy = { t_time = 0.0; t_seq = 0; t_owner = None; t_run = noop; t_queued = false }
 
   let create () = { arr = Array.make 1024 dummy; len = 0 }
 
@@ -80,6 +84,8 @@ type engine = {
   mutable proc_ctx : Process.t option;
   mutable buggify : bool;
   mutable csum : int64; (* running FNV-1a over executed events *)
+  mutable cancelled : int; (* cancelled tasks still sitting in the heap *)
+  mutable executed : int; (* tasks dispatched to a live owner and run *)
 }
 
 let current : engine option ref = ref None
@@ -122,9 +128,13 @@ let trace_checksum () = (get ()).csum
 let last_run_checksum () = !last_checksum
 let last_run_lifecycle () = !last_lifecycle
 let buggify_enabled () = match !current with Some e -> e.buggify | None -> false
-let pending_tasks () = (get ()).heap.Heap.len
+let pending_tasks () =
+  let e = get () in
+  e.heap.Heap.len - e.cancelled
 
-let schedule ?(after = 0.0) ?process f =
+let events_executed () = (get ()).executed
+
+let schedule_timer ?(after = 0.0) ?process f =
   let e = get () in
   let owner =
     match process with
@@ -136,8 +146,23 @@ let schedule ?(after = 0.0) ?process f =
   in
   e.seq <- e.seq + 1;
   let after = if after < 0.0 then 0.0 else after in
-  Heap.push e.heap
-    { t_time = e.clock +. after; t_seq = e.seq; t_owner = owner; t_run = f }
+  let task =
+    { t_time = e.clock +. after; t_seq = e.seq; t_owner = owner; t_run = f; t_queued = true }
+  in
+  Heap.push e.heap task;
+  task
+
+let schedule ?after ?process f = ignore (schedule_timer ?after ?process f : timer)
+
+(* A cancelled task stays in the heap (removal from the middle of a binary
+   heap is not worth it) but drops its closure, so whatever the closure
+   captured is collectable now rather than when its time comes. *)
+let cancel task =
+  if task.t_queued then begin
+    task.t_queued <- false;
+    task.t_run <- noop;
+    match !current with Some e -> e.cancelled <- e.cancelled + 1 | None -> ()
+  end
 
 let with_process p f =
   let e = get () in
@@ -176,15 +201,18 @@ let timeout dt fut =
   if Future.is_resolved fut then fut
   else begin
     let out, p = Future.make () in
+    (* false = the underlying future won the race; not a lost wakeup. *)
+    let timer =
+      schedule_timer ~after:dt (fun () -> ignore (Future.try_break p Timed_out : bool))
+    in
     Future.on_resolve fut (fun r ->
+        cancel timer;
         (* false = the timeout fired first; the result is intentionally dropped. *)
         ignore
           ((match r with
            | Ok v -> Future.try_fulfill p v
            | Error e -> Future.try_break p e)
            : bool));
-    (* false = the underlying future won the race; not a lost wakeup. *)
-    schedule ~after:dt (fun () -> ignore (Future.try_break p Timed_out : bool));
     out
   end
 
@@ -232,6 +260,8 @@ let run ?(seed = 1L) ?(max_time = 1e7) ?(buggify = false) f =
       proc_ctx = None;
       buggify;
       csum = fnv1a_int64 fnv_offset seed;
+      cancelled = 0;
+      executed = 0;
     }
   in
   current := Some e;
@@ -266,7 +296,12 @@ let run ?(seed = 1L) ?(max_time = 1e7) ?(buggify = false) f =
       | None -> (
           match Heap.pop e.heap with
           | None -> raise Deadlock
+          | Some task when not task.t_queued ->
+              (* Cancelled: not run, not folded, and time does not move. *)
+              e.cancelled <- e.cancelled - 1;
+              loop ()
           | Some task ->
+              task.t_queued <- false;
               if task.t_time > max_time then
                 failwith
                   (Printf.sprintf "Engine.run: exceeded max_time %.0fs" max_time);
@@ -286,6 +321,7 @@ let run ?(seed = 1L) ?(max_time = 1e7) ?(buggify = false) f =
                        (fnv1a_int64 e.csum (Int64.bits_of_float task.t_time))
                        (Int64.of_int pid))
                     (Int64.of_int task.t_seq);
+                e.executed <- e.executed + 1;
                 let saved = e.proc_ctx in
                 e.proc_ctx <- (match task.t_owner with Some (p, _) -> Some p | None -> None);
                 (try task.t_run ()

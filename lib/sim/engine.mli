@@ -32,6 +32,18 @@ val schedule : ?after:float -> ?process:Process.t -> (unit -> unit) -> unit
     dropped, not run, if [process] (default: the current process context)
     has died or rebooted by dispatch time. *)
 
+type timer
+(** A handle on a scheduled task, for cancelling it before it runs. *)
+
+val schedule_timer : ?after:float -> ?process:Process.t -> (unit -> unit) -> timer
+(** {!schedule}, returning a handle for {!cancel}. *)
+
+val cancel : timer -> unit
+(** Withdraw a task that has not run yet: it is popped without running,
+    is not folded into {!trace_checksum}, does not advance the clock, and
+    its closure is released at once. No-op on a task that already ran or
+    was already cancelled. *)
+
 val sleep : float -> unit Future.t
 (** Resolve after the given virtual delay. Never resolves if the owning
     process dies first. *)
@@ -44,7 +56,9 @@ val spawn : ?process:Process.t -> string -> (unit -> unit Future.t) -> unit
     is recorded in the trace (actors own their error handling). *)
 
 val timeout : float -> 'a Future.t -> 'a Future.t
-(** Fail with {!Timed_out} if the future is still pending after the delay. *)
+(** Fail with {!Timed_out} if the future is still pending after the delay.
+    The timer is cancelled as soon as the future resolves, so a timeout
+    that loses the race costs no event. *)
 
 val fork_rng : unit -> Fdb_util.Det_rng.t
 (** Derive an independent deterministic RNG stream from the engine's root. *)
@@ -81,7 +95,13 @@ val is_running : unit -> bool
     non-simulated behaviour outside a run, e.g. in bechamel microbenches). *)
 
 val pending_tasks : unit -> int
-(** Number of queued events (diagnostics). *)
+(** Number of queued events that will still run, cancelled timers
+    excluded (diagnostics). *)
+
+val events_executed : unit -> int
+(** Tasks run so far in the current run: dispatched to a live owner (or
+    to no owner). Cancelled tasks and tasks of dead processes are not
+    counted. The engine bench's cost unit. *)
 
 val trace_checksum : unit -> int64
 (** Running FNV-1a64 over every executed event so far in the current run:

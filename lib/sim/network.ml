@@ -11,7 +11,7 @@ type 'm t = {
   isolated : (int, unit) Hashtbl.t;
   clogged : (int, float) Hashtbl.t;
   handlers : (endpoint, 'm handler) Hashtbl.t;
-  pending : (int, 'm Future.promise) Hashtbl.t;
+  pending : (int, 'm Future.promise * Engine.timer) Hashtbl.t;
   mutable loss_prob : float;
   mutable next_endpoint : int;
   mutable next_rpc : int;
@@ -125,8 +125,9 @@ let deliver t ep (Request { rpc_id; reply_to; payload }) =
                             Engine.schedule ~after:delay ~process:reply_to (fun () ->
                                 match Hashtbl.find_opt t.pending rpc_id with
                                 | None -> () (* already timed out *)
-                                | Some promise ->
+                                | Some (promise, timer) ->
                                     Hashtbl.remove t.pending rpc_id;
+                                    Engine.cancel timer;
                                     (* A false here is a reply the caller will
                                        never see: surface it, don't drop it. *)
                                     if not (Future.try_fulfill promise resp) then
@@ -147,16 +148,20 @@ let call t ?(timeout = 5.0) ?bytes ~from ep payload =
   t.next_rpc <- t.next_rpc + 1;
   let rpc_id = t.next_rpc in
   let fut, promise = Future.make () in
-  Hashtbl.replace t.pending rpc_id promise;
   post t ?bytes ~from ep ~rpc_id payload;
-  Engine.schedule ~after:timeout (fun () ->
-      if Hashtbl.mem t.pending rpc_id then begin
-        Hashtbl.remove t.pending rpc_id;
-        (* The promise was still registered, so a false break means the
-           caller got neither reply nor timeout — a lost wakeup. *)
-        if not (Future.try_break promise Engine.Timed_out) then
-          Trace.emit "rpc_timeout_lost" [ ("rpc_id", string_of_int rpc_id) ]
-      end);
+  (* The reply cancels this timer, so only calls that really time out pay
+     for it. *)
+  let timer =
+    Engine.schedule_timer ~after:timeout (fun () ->
+        if Hashtbl.mem t.pending rpc_id then begin
+          Hashtbl.remove t.pending rpc_id;
+          (* The promise was still registered, so a false break means the
+             caller got neither reply nor timeout — a lost wakeup. *)
+          if not (Future.try_break promise Engine.Timed_out) then
+            Trace.emit "rpc_timeout_lost" [ ("rpc_id", string_of_int rpc_id) ]
+        end)
+  in
+  Hashtbl.replace t.pending rpc_id (promise, timer);
   fut
 
 let send t ?bytes ~from ep payload = post t ?bytes ~from ep ~rpc_id:0 payload

@@ -52,8 +52,9 @@ val call :
   'm t -> ?timeout:float -> ?bytes:int -> from:Process.t -> endpoint -> 'm -> 'm Future.t
 (** Request/response with correlation. Fails with {!Engine.Timed_out} after
     [timeout] seconds (default 5) if no response arrives — because of loss,
-    partition, a dead endpoint, or a handler error. [bytes] adds
-    transmission delay for large payloads. *)
+    partition, a dead endpoint, or a handler error. A reply cancels the
+    timeout's timer ({!Engine.cancel}). [bytes] adds transmission delay
+    for large payloads. *)
 
 val send : 'm t -> ?bytes:int -> from:Process.t -> endpoint -> 'm -> unit
 (** One-way, best-effort message (response discarded). *)

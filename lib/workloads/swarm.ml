@@ -16,6 +16,8 @@ type report = {
   oracle_failures : string list;
   buggify_points : string list;
   trace_checksum : int64;
+  events : int;
+  sim_seconds : float;
   lifecycle : Future.Lifecycle.report;
 }
 
@@ -264,6 +266,8 @@ let run_one ?(buggify = true) ?(duration = 60.0) ?(dd_movement = false)
           oracle_failures = failures @ metrics_failures;
           buggify_points = Buggify.points_hit ();
           trace_checksum = 0L (* filled in once the run has fully drained *);
+          events = Engine.events_executed ();
+          sim_seconds = Engine.now ();
           lifecycle = Future.Lifecycle.empty (* ditto *);
         })
   in

@@ -28,6 +28,10 @@ type report = {
   trace_checksum : int64;
       (** {!Fdb_sim.Engine.last_run_checksum} of the run: FNV-1a over every
           executed event. Equal seeds must yield equal checksums. *)
+  events : int;
+      (** {!Fdb_sim.Engine.events_executed} at run end: the simulator's
+          work, in events *)
+  sim_seconds : float;  (** simulated time at run end *)
   lifecycle : Fdb_sim.Future.Lifecycle.report;
       (** {!Fdb_sim.Engine.last_run_lifecycle} of the run: the promise
           sanitizer's leak / double-resolve / detach-failure tallies.

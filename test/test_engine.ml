@@ -65,6 +65,44 @@ let test_timeout_win () =
   in
   Alcotest.(check int) "value before timeout" 42 r
 
+(* A cancelled timer is popped without running: its closure never runs,
+   it does not feed the checksum, and it is not counted as pending or as
+   executed. A timer scheduled past the end of the run (never popped)
+   gives the same checksum; an uncancelled one does not. *)
+let test_cancelled_timer_never_runs () =
+  let run_with ~after ~cancel =
+    let fired = ref false in
+    let pending_after_cancel, executed =
+      Engine.run ~seed:7L (fun () ->
+          let timer = Engine.schedule_timer ~after (fun () -> fired := true) in
+          if cancel then Engine.cancel timer;
+          let pending = Engine.pending_tasks () in
+          let* () = Engine.sleep 1.0 in
+          Future.return (pending, Engine.events_executed ()))
+    in
+    (!fired, pending_after_cancel, executed, Engine.last_run_checksum ())
+  in
+  let fired, pending, executed, cancelled_csum = run_with ~after:0.5 ~cancel:true in
+  Alcotest.(check bool) "cancelled timer never ran" false fired;
+  Alcotest.(check int) "cancelled timer not pending" 0 pending;
+  Alcotest.(check int) "only the sleep executed" 1 executed;
+  let _, _, _, unreached_csum = run_with ~after:5.0 ~cancel:false in
+  Alcotest.(check int64) "cancelled timer not folded into the checksum" unreached_csum
+    cancelled_csum;
+  let fired, _, _, fired_csum = run_with ~after:0.5 ~cancel:false in
+  Alcotest.(check bool) "uncancelled timer ran" true fired;
+  Alcotest.(check bool) "a run timer is folded" false (Int64.equal fired_csum cancelled_csum)
+
+let test_timeout_win_cancels_timer () =
+  let pending =
+    Engine.run (fun () ->
+        let f, p = Future.make () in
+        Engine.schedule ~after:0.5 (fun () -> Future.fulfill p 42);
+        let* _ = Engine.timeout 1.0 f in
+        Future.return (Engine.pending_tasks ()))
+  in
+  Alcotest.(check int) "losing timeout left nothing queued" 0 pending
+
 let test_kill_drops_tasks () =
   let r =
     Engine.run (fun () ->
@@ -195,6 +233,8 @@ let suite =
     Alcotest.test_case "deterministic runs" `Quick test_deterministic_runs;
     Alcotest.test_case "timeout fires" `Quick test_timeout_fires;
     Alcotest.test_case "timeout win" `Quick test_timeout_win;
+    Alcotest.test_case "cancelled timer never runs" `Quick test_cancelled_timer_never_runs;
+    Alcotest.test_case "timeout win cancels its timer" `Quick test_timeout_win_cancels_timer;
     Alcotest.test_case "kill drops tasks" `Quick test_kill_drops_tasks;
     Alcotest.test_case "reboot boots and invalidates" `Quick test_reboot_runs_boot_and_invalidates;
     Alcotest.test_case "reboot hooks" `Quick test_reboot_hooks_run;

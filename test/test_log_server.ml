@@ -156,6 +156,129 @@ let test_resurrect_after_prune () =
   in
   Alcotest.(check bool) "durable version survives prune + crash" true (r >= 9L)
 
+(* ---------- long-poll peeks ---------- *)
+
+let tag0 v = [ (0, [ Mutation.Set ("k", v) ]) ]
+
+let test_peek_held_until_push () =
+  let held_at_100ms, entries, pk_end, waited =
+    Engine.run (fun () ->
+        let _, _, _, _, push, peek = setup () in
+        let* _ = push 5L 0L (tag0 "1") in
+        let t0 = Engine.now () in
+        let pending = peek 0 6L in
+        let* () = Engine.sleep 0.1 in
+        let held = Future.is_pending pending in
+        let* _ = push 9L 5L (tag0 "2") in
+        let* entries, pk_end = pending in
+        Future.return (held, List.map fst entries, pk_end, Engine.now () -. t0))
+  in
+  Alcotest.(check bool) "peek above rcv is held" true held_at_100ms;
+  Alcotest.(check (list int64)) "woken with the new entry" [ 9L ] entries;
+  Alcotest.(check int64) "reply carries the new rcv" 9L pk_end;
+  Alcotest.(check bool) "woken by the push, not the poll timeout" true
+    (waited < Params.log_peek_poll_timeout)
+
+let test_lock_breaks_held_peek () =
+  let outcome, waited =
+    Engine.run (fun () ->
+        let ctx, ep, client, _, push, peek = setup () in
+        let* _ = push 5L 0L (tag0 "1") in
+        let t0 = Engine.now () in
+        let held = peek 0 6L in
+        let* () = Engine.sleep 0.05 in
+        let* _ =
+          Context.rpc ctx ~timeout:5.0 ~from:client ep (Message.Log_lock { ll_epoch = 2 })
+        in
+        let* outcome =
+          Future.catch
+            (fun () -> Future.map held (fun _ -> `Reply))
+            (function Error.Fdb Error.Wrong_epoch -> Future.return `Wrong_epoch | e -> raise e)
+        in
+        Future.return (outcome, Engine.now () -. t0))
+  in
+  Alcotest.(check bool) "held peek answered Wrong_epoch" true (outcome = `Wrong_epoch);
+  Alcotest.(check bool) "answered at the lock, not the poll timeout" true
+    (waited < Params.log_peek_poll_timeout)
+
+let test_poll_timeout_replies_empty () =
+  let entries, pk_end, waited =
+    Engine.run (fun () ->
+        let _, _, _, _, push, peek = setup () in
+        let* _ = push 5L 0L (tag0 "1") in
+        let t0 = Engine.now () in
+        let* entries, pk_end = peek 0 6L in
+        Future.return (entries, pk_end, Engine.now () -. t0))
+  in
+  Alcotest.(check int) "empty reply" 0 (List.length entries);
+  Alcotest.(check int64) "carries the current rcv" 5L pk_end;
+  Alcotest.(check bool) "after the poll timeout" true
+    (waited >= Params.log_peek_poll_timeout && waited < Params.log_peek_poll_timeout +. 0.05)
+
+(* A storage server long-polling a log that dies must not wait on it: the
+   held peek times out after the 1 s peek RPC timeout and the next peek
+   goes to the other replica of its tag. *)
+let test_storage_fails_over_to_replica () =
+  let before_kill, after_timeout =
+    Engine.run (fun () ->
+        let ctx0 = mini_ctx () in
+        let net = ctx0.Context.net in
+        (* One empty coordinator: the storage server's generation lookup
+           before it learns its logs finds nothing and returns. *)
+        let coordinator = Network.fresh_endpoint net in
+        let ctx =
+          { ctx0 with
+            Context.storage_eps = [| Network.fresh_endpoint net |];
+            coordinator_eps = [ coordinator ] }
+        in
+        Coordinator.start ctx
+          (Process.create ~name:"coordinator" (Process.fresh_machine 40))
+          ~disk:(Disk.create ~name:"coord-disk" ()) ~endpoint:coordinator;
+        let logs =
+          List.map
+            (fun id ->
+              let proc = Process.create ~name:(Printf.sprintf "tlog-%d" id) (Process.fresh_machine (10 + id)) in
+              let disk = Disk.create ~name:(Printf.sprintf "tlog-disk-%d" id) () in
+              let _, ep = Log_server.create ctx proc ~disk ~epoch:1 ~id ~start_lsn:0L in
+              (proc, ep))
+            [ 0; 1 ]
+        in
+        let pusher = Process.create ~name:"pusher" (Process.fresh_machine 20) in
+        let push logs lsn prev =
+          Future.all
+            (List.map
+               (fun (_, ep) ->
+                 Context.rpc ctx ~timeout:5.0 ~from:pusher ep
+                   (Message.Log_push { lp_epoch = 1; lp_entry = entry ~lsn ~prev (tag0 "v") }))
+               logs)
+        in
+        let ss_proc = Process.create ~name:"storage-0" (Process.fresh_machine 30) in
+        let* ss =
+          Engine.with_process ss_proc (fun () ->
+              Storage_server.create ctx ss_proc ~id:0 ~disk:(Disk.create ~name:"ss-disk" ()))
+        in
+        let* _ =
+          Context.rpc ctx ~timeout:5.0 ~from:pusher ctx.Context.storage_eps.(0)
+            (Message.Ss_recover
+               { sr_epoch = 1; sr_rv = 0L; sr_history = [];
+                 sr_logs = List.mapi (fun i (_, ep) -> (i, ep)) logs })
+        in
+        let* _ = push logs 5L 0L in
+        (* Long enough for the coordinator to come up and answer the
+           lookup, and for a few poll timeouts to pass. *)
+        let* () = Engine.sleep 3.0 in
+        let before_kill = Storage_server.version ss in
+        (* The storage server's peek is now held by its preferred log. *)
+        Engine.kill (fst (List.hd logs));
+        let* _ = push (List.tl logs) 9L 5L in
+        (* The held peek was sent before the kill, so it times out within
+           1 s; then one failure backoff and one round trip. *)
+        let* () = Engine.sleep 1.1 in
+        Future.return (before_kill, Storage_server.version ss))
+  in
+  Alcotest.(check int64) "caught up before the kill" 5L before_kill;
+  Alcotest.(check int64) "pulled from the replica within the peek timeout" 9L after_timeout
+
 let suite =
   [
     Alcotest.test_case "in-order push/peek" `Quick test_in_order_push_and_peek;
@@ -164,4 +287,8 @@ let suite =
     Alcotest.test_case "pop discards" `Quick test_pop_discards;
     Alcotest.test_case "lock stops pushes" `Quick test_lock_stops_pushes_and_reports;
     Alcotest.test_case "resurrect after prune" `Quick test_resurrect_after_prune;
+    Alcotest.test_case "peek held until push" `Quick test_peek_held_until_push;
+    Alcotest.test_case "lock breaks held peek" `Quick test_lock_breaks_held_peek;
+    Alcotest.test_case "poll timeout replies empty" `Quick test_poll_timeout_replies_empty;
+    Alcotest.test_case "storage fails over to replica" `Quick test_storage_fails_over_to_replica;
   ]

@@ -28,6 +28,22 @@ let test_rpc_roundtrip () =
   Alcotest.(check bool) "took nonzero simulated time" true (snd r > 0.0);
   Alcotest.(check bool) "intra-dc fast" true (snd r < 0.01)
 
+(* The reply cancels the call's timeout timer: nothing is left queued, the
+   timeout never runs (no extra event, no rpc_timeout_lost). *)
+let test_reply_cancels_timeout () =
+  let pending, extra_events =
+    Engine.run (fun () ->
+        let net, client, _server, ep = setup () in
+        let* _ = Network.call net ~timeout:1.0 ~from:client ep (Ping 1) in
+        let pending = Engine.pending_tasks () in
+        let before = Engine.events_executed () in
+        let* () = Engine.sleep 2.0 in
+        Future.return (pending, Engine.events_executed () - before))
+  in
+  Alcotest.(check int) "nothing queued after the reply" 0 pending;
+  Alcotest.(check int) "only the sleep ran" 1 extra_events;
+  Alcotest.(check int) "no lost timeout" 0 (Trace.count "rpc_timeout_lost")
+
 let expect_timeout fut =
   Future.catch
     (fun () -> Future.map fut (fun _ -> false))
@@ -157,6 +173,7 @@ let test_send_one_way () =
 let suite =
   [
     Alcotest.test_case "rpc roundtrip" `Quick test_rpc_roundtrip;
+    Alcotest.test_case "reply cancels timeout" `Quick test_reply_cancels_timeout;
     Alcotest.test_case "timeout on partition" `Quick test_rpc_timeout_on_partition;
     Alcotest.test_case "one-way partition" `Quick test_one_way_partition_also_times_out;
     Alcotest.test_case "heal restores" `Quick test_heal_restores;
