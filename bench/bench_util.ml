@@ -229,5 +229,3 @@ let print_percentiles (doc : Fdb_obs.Rollup.doc) =
             name l_count (l_mean *. 1e3) (l_p50 *. 1e3) (l_p99 *. 1e3) (l_max *. 1e3))
         rd.Fdb_obs.Rollup.rd_latencies)
     doc.Fdb_obs.Rollup.d_roles
-
-let obs_percentiles cluster = print_percentiles (Cluster.status_doc cluster)

@@ -1,14 +1,13 @@
-(* Commit-pipeline bench: the serial commit path (pipeline depth 1 — the
-   pre-pipeline [Proxy.commit_flush], kept verbatim inside proxy.ml as the
-   dispatch fallback) vs the bounded pipeline (depth
-   [Params.proxy_commit_pipeline_depth]) on a single-proxy cluster, under
+(* Commit-pipeline bench: the proxy's one commit pipeline at depth 1 (one
+   batch in flight, the serial baseline) vs depth
+   [Params.proxy_commit_pipeline_depth] on a single-proxy cluster, under
    an open-loop blind-write load at several offered rates. Records
    committed txn/s and client-observed commit latency p50/p99 per load
    into BENCH_commit.json, plus the speedup at the saturating load.
 
    The batch cap is pinned small for the bench: with the default 512 a
    single batch absorbs the whole offered load and the comparison would
-   measure batching, not pipelining. With small batches the serial path is
+   measure batching, not pipelining. With small batches depth 1 is
    bottlenecked at one batch per end-to-end cycle (version RPC + resolve +
    push/sync + report) while the pipeline overlaps up to [depth] cycles. *)
 
@@ -73,8 +72,6 @@ let measure_load ~depth ~rate ~warmup ~measure ~universe =
       tps := float_of_int !committed /. elapsed;
       p50 := Histogram.percentile hist 50.0 *. 1e3;
       p99 := Histogram.percentile hist 99.0 *. 1e3;
-      if Sys.getenv_opt "BENCH_COMMIT_DEBUG" <> None then
-        Bench_util.obs_percentiles cluster;
       Future.return ());
   { tps = !tps; p50_ms = !p50; p99_ms = !p99; failed = !failed }
 
@@ -104,7 +101,7 @@ let write_json ~smoke ~depth ~batch_cap ~rows ~speedup =
 
 let run ?(smoke = false) () =
   Bench_util.header
-    "Commit pipeline: serial batches (depth 1) vs overlapped in-flight batches";
+    "Commit pipeline: one batch in flight (depth 1) vs overlapped in-flight batches";
   let depth = 4 in
   let batch_cap = 8 in
   let universe = 10_000 in
@@ -138,8 +135,8 @@ let run ?(smoke = false) () =
       raise e
   in
   finish ();
-  (* Saturation point: the load where the serial path leaves the most
-     offered transactions on the table. *)
+  (* Saturation point: the load where depth 1 leaves the most offered
+     transactions on the table. *)
   let _, sat_serial, sat_pipelined =
     let gap (offered, (s : point), _) = offered -. s.tps in
     List.fold_left

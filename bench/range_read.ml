@@ -1,6 +1,6 @@
 (* Range-read pipeline bench: sequential shard walk (the pre-pipeline
    client read path, kept here verbatim as the baseline) vs the parallel
-   bounded-fanout pipeline now inside [Client.get_range], on a range
+   bounded-fanout pipeline now inside [Client.range_all], on a range
    spanning every shard of the cluster. Records simulated milliseconds per
    full-range read and the speedup into BENCH_range.json. *)
 
@@ -101,7 +101,7 @@ let run ?(smoke = false) () =
   let config =
     Bench_util.shard_evenly Config.default ~universe ~key_of:Bench_util.key
   in
-  let shards = ref 0 and fanout = !Params.client_range_fanout in
+  let shards = ref 0 and fanout = Params.client_range_fanout in
   let seq_ms = ref 0.0 and pipe_ms = ref 0.0 and row_count = ref 0 in
   Bench_util.with_sim ~cpu_scale:1.0 config (fun cluster ->
       let* () = Bench_util.preload cluster ~universe in
@@ -130,7 +130,7 @@ let run ?(smoke = false) () =
           time_reads "pipelined fan-out" (fun () ->
               let tx = Client.begin_tx db in
               Client.set_read_version tx version;
-              let* rows = Client.get_range ~limit tx ~from ~until () in
+              let* rows = Client.range_all tx (Range_query.keys ~limit ~from ~until ()) in
               Future.return (List.length rows))
         in
         if nseq <> npipe then

@@ -32,7 +32,9 @@ let () =
       let* value, marbles =
         Client.run db (fun tx ->
             let* value = Client.get tx "hello" in
-            let* marbles = Client.get_range tx ~from:"marbles/" ~until:"marbles0" () in
+            let* marbles =
+              Client.range_all tx (Range_query.keys ~from:"marbles/" ~until:"marbles0" ())
+            in
             Future.return (value, marbles))
       in
       Printf.printf "hello = %s\n" (Option.value value ~default:"<missing>");

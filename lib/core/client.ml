@@ -27,8 +27,6 @@ module Key_selector = struct
     { sel_key = key; sel_or_equal = false; sel_offset = offset }
 end
 
-type streaming_mode = [ `Want_all | `Iterator | `Exact of int ]
-
 type tx_options = {
   opt_timeout : float option;
   opt_retry_limit : int option;
@@ -433,7 +431,7 @@ let ranged_fetch t ~version ~rv_epoch ~from ~until ~reverse ~row_limit
   in
   let frags = Array.of_list fragments in
   let n = Array.length frags in
-  let fanout = max 1 !Params.client_range_fanout in
+  let fanout = Params.client_range_fanout in
   Fdb_obs.Registry.set_gauge db.obs_fanout (float_of_int (min fanout (max n 1)));
   if n = 0 then Future.return ([], true)
   else begin
@@ -566,47 +564,14 @@ let read_merged t ~snap:(version, rv_epoch) ~from ~until ~reverse ~row_limit
   in
   Future.return (kept, continuation)
 
-let budgets_of_mode mode ~remaining =
+(* Row and byte budgets of one storage round-trip in the given mode; the
+   row budget is capped by the [remaining] rows the query may still return. *)
+let batch_budgets mode ~remaining =
   match mode with
   | `Want_all -> (remaining, Params.range_bytes_want_all)
   | `Iterator ->
       (min remaining Params.range_rows_per_batch, !Params.range_bytes_per_req)
   | `Exact n -> (min remaining (max 1 n), Params.range_bytes_want_all)
-
-(* Full range read over already-resolved endpoints: loop [read_merged]
-   batches, stitching continuations, until the range is drained or [limit]
-   rows are in hand. *)
-let get_range_resolved ?(snapshot = false) ?(limit = 1000) ?(reverse = false)
-    ?(mode = `Want_all) t ~from ~until () =
-  check_not_committed t;
-  if from >= until then Future.return []
-  else begin
-    if until > Types.key_space_end then
-      raise (Error.Fdb Error.Key_outside_legal_range);
-    let* snap = snapshot_info t in
-    (* Conflict on the whole requested range up front (pre-pipeline
-       behavior): the result logically depends on all of it. *)
-    if not snapshot then add_read_conflict_range t ~from ~until;
-    let rec loop ~from ~until acc collected =
-      let remaining = limit - collected in
-      if remaining <= 0 then Future.return (List.concat (List.rev acc))
-      else begin
-        let row_limit, byte_limit = budgets_of_mode mode ~remaining in
-        let* rows, continuation =
-          read_merged t ~snap ~from ~until ~reverse ~row_limit ~byte_limit
-            ~conflict:false
-        in
-        let acc = rows :: acc in
-        match continuation with
-        | None -> Future.return (List.concat (List.rev acc))
-        | Some c ->
-            let from, until = if reverse then (from, c) else (c, until) in
-            if from >= until then Future.return (List.concat (List.rev acc))
-            else loop ~from ~until acc (collected + List.length rows)
-      end
-    in
-    loop ~from ~until [] 0
-  end
 
 (* ---------- key-selector resolution ---------- *)
 
@@ -694,7 +659,9 @@ let merged_nth t snap ~start ~reverse ~need =
 
 (* Resolve a selector to a concrete key, clamped to [""] /
    [Types.key_space_end] when the walk runs off the edge of the key space
-   (the standard FDB clamp). *)
+   (the standard FDB clamp). Also returns the span the walk observed: a
+   key inserted there would move the answer, so a non-snapshot read must
+   conflict on it. *)
 let resolve_key t snap sel =
   let dir, start, need = selector_walk sel in
   let reverse = dir = `Reverse in
@@ -703,27 +670,28 @@ let resolve_key t snap sel =
       storage_resolve t snap ~start ~reverse ~need
     else merged_nth t snap ~start ~reverse ~need
   in
-  Future.return
-    (match resolved with
+  let k =
+    match resolved with
     | Some k -> k
-    | None -> if reverse then "" else Types.key_space_end)
+    | None -> if reverse then "" else Types.key_space_end
+  in
+  Future.return (k, if reverse then (k, start) else (start, Types.next_key k))
+
+let add_walked_conflict t ~snapshot (from, until) =
+  if not snapshot then add_read_conflict_range t ~from ~until
 
 let get_key ?(snapshot = false) t sel =
   check_not_committed t;
   let* snap = snapshot_info t in
-  let* k = resolve_key t snap sel in
-  (if not snapshot then
-     (* Conflict on everything the resolution observed. *)
-     let dir, start, _ = selector_walk sel in
-     match dir with
-     | `Forward -> add_read_conflict_range t ~from:start ~until:(Types.next_key k)
-     | `Reverse -> add_read_conflict_range t ~from:k ~until:start);
+  let* k, walked = resolve_key t snap sel in
+  add_walked_conflict t ~snapshot walked;
   Future.return k
 
 (* Range endpoints resolve with a fast path: firstGreaterOrEqual with no
-   offset IS its key as a range bound — no round-trip needed. *)
+   offset IS its key as a range bound — no round-trip, nothing walked. *)
 let resolve_endpoint t snap (sel : Key_selector.t) =
-  if (not sel.sel_or_equal) && sel.sel_offset = 1 then Future.return sel.sel_key
+  if (not sel.sel_or_equal) && sel.sel_offset = 1 then
+    Future.return (sel.sel_key, (sel.sel_key, sel.sel_key))
   else resolve_key t snap sel
 
 let clamp_key k = if k > Types.key_space_end then Types.key_space_end else k
@@ -735,112 +703,79 @@ type batch = {
   batch_continuation : string option;
 }
 
-(* Clamp already-concrete bounds to a continuation cursor. *)
-let apply_continuation ~reverse ~continuation (from, until) =
-  match continuation with
-  | None -> (from, until)
-  | Some c -> if reverse then (from, min c until) else (max c from, until)
+(* The concrete bounds of a query. Plain-key bounds are used as they are,
+   with no round-trip; selector bounds resolve at the snapshot and clamp
+   into the key space. The continuation cursor then narrows either. A
+   non-snapshot query conflicts here on the spans its selector walks
+   observed. *)
+let query_bounds t (q : Range_query.t) =
+  let* from, until =
+    match Range_query.trivial_bounds q with
+    | Some (from, until) ->
+        if until > Types.key_space_end then
+          raise (Error.Fdb Error.Key_outside_legal_range);
+        Future.return (from, until)
+    | None ->
+        let* snap = snapshot_info t in
+        let* lo, lo_walked = resolve_endpoint t snap q.rq_begin in
+        let* hi, hi_walked = resolve_endpoint t snap q.rq_end in
+        add_walked_conflict t ~snapshot:q.rq_snapshot lo_walked;
+        add_walked_conflict t ~snapshot:q.rq_snapshot hi_walked;
+        Future.return (clamp_key lo, clamp_key hi)
+  in
+  Future.return
+    (match q.rq_continuation with
+    | None -> (from, until)
+    | Some c -> if q.rq_reverse then (from, min c until) else (max c from, until))
 
-(* Budgets of one streaming batch; the row budget is additionally capped by
-   the query's overall row limit. *)
-let stream_budgets (q : Range_query.t) =
-  match q.rq_mode with
-  | `Want_all -> (min 1_000_000 q.rq_limit, Params.range_bytes_want_all)
-  | `Iterator ->
-      (min Params.range_rows_per_batch q.rq_limit, !Params.range_bytes_per_req)
-  | `Exact n -> (min (max 1 n) q.rq_limit, Params.range_bytes_want_all)
-
-(* One bounded batch of the query — the streaming building block. Concrete
-   (plain-key) bounds skip endpoint resolution entirely; selector bounds
-   resolve both endpoints at the snapshot first. Each batch adds a read
-   conflict only over the span it actually observed. *)
+(* One bounded batch of the query — the streaming building block. The
+   batch adds a read conflict only over the span it actually observed. *)
 let range t (q : Range_query.t) =
   check_not_committed t;
-  let batch_of ~from ~until =
-    if from >= until then
-      Future.return { batch_rows = []; batch_continuation = None }
-    else
-      let* snap = snapshot_info t in
-      let row_limit, byte_limit = stream_budgets q in
-      let* rows, continuation =
-        read_merged t ~snap ~from ~until ~reverse:q.rq_reverse ~row_limit
-          ~byte_limit ~conflict:(not q.rq_snapshot)
-      in
-      Future.return { batch_rows = rows; batch_continuation = continuation }
-  in
-  match Range_query.trivial_bounds q with
-  | Some (from, until) ->
-      if until > Types.key_space_end then
-        raise (Error.Fdb Error.Key_outside_legal_range);
-      let from, until =
-        apply_continuation ~reverse:q.rq_reverse
-          ~continuation:q.rq_continuation (from, until)
-      in
-      batch_of ~from ~until
-  | None ->
-      let* snap = snapshot_info t in
-      let* lo = resolve_endpoint t snap q.rq_begin in
-      let* hi = resolve_endpoint t snap q.rq_end in
-      let lo = clamp_key lo and hi = clamp_key hi in
-      let lo, hi =
-        apply_continuation ~reverse:q.rq_reverse ~continuation:q.rq_continuation
-          (lo, hi)
-      in
-      batch_of ~from:lo ~until:hi
+  let* from, until = query_bounds t q in
+  if from >= until then
+    Future.return { batch_rows = []; batch_continuation = None }
+  else
+    let* snap = snapshot_info t in
+    let row_limit, byte_limit = batch_budgets q.rq_mode ~remaining:q.rq_limit in
+    let* rows, continuation =
+      read_merged t ~snap ~from ~until ~reverse:q.rq_reverse ~row_limit
+        ~byte_limit ~conflict:(not q.rq_snapshot)
+    in
+    Future.return { batch_rows = rows; batch_continuation = continuation }
 
 (* Drain the query to a list: loop batches, stitching continuations, until
-   the range is exhausted or [rq_limit] rows are in hand. Concrete bounds
-   reduce to exactly the pre-unification [get_range] path; selector bounds
-   resolve once and conflict on the whole resolved span, as the selector
-   form always did. *)
+   the range is exhausted or [rq_limit] rows are in hand. A non-snapshot
+   query conflicts on the whole resolved range up front: the result
+   logically depends on all of it. *)
 let range_all t (q : Range_query.t) =
   check_not_committed t;
-  match Range_query.trivial_bounds q with
-  | Some (from, until) ->
-      let from, until =
-        apply_continuation ~reverse:q.rq_reverse
-          ~continuation:q.rq_continuation (from, until)
-      in
-      get_range_resolved ~snapshot:q.rq_snapshot ~limit:q.rq_limit
-        ~reverse:q.rq_reverse ~mode:q.rq_mode t ~from ~until ()
-  | None ->
-      let* snap = snapshot_info t in
-      let* lo = resolve_endpoint t snap q.rq_begin in
-      let* hi = resolve_endpoint t snap q.rq_end in
-      let lo = clamp_key lo and hi = clamp_key hi in
-      let lo, hi =
-        apply_continuation ~reverse:q.rq_reverse ~continuation:q.rq_continuation
-          (lo, hi)
-      in
-      if lo >= hi then Future.return []
+  let* from, until = query_bounds t q in
+  if from >= until then Future.return []
+  else begin
+    let* snap = snapshot_info t in
+    if not q.rq_snapshot then add_read_conflict_range t ~from ~until;
+    let reverse = q.rq_reverse in
+    let rec loop ~from ~until acc collected =
+      let remaining = q.rq_limit - collected in
+      if remaining <= 0 then Future.return (List.concat (List.rev acc))
       else begin
-        if not q.rq_snapshot then add_read_conflict_range t ~from:lo ~until:hi;
-        get_range_resolved ~snapshot:true ~limit:q.rq_limit
-          ~reverse:q.rq_reverse ~mode:q.rq_mode t ~from:lo ~until:hi ()
+        let row_limit, byte_limit = batch_budgets q.rq_mode ~remaining in
+        let* rows, continuation =
+          read_merged t ~snap ~from ~until ~reverse ~row_limit ~byte_limit
+            ~conflict:false
+        in
+        let acc = rows :: acc in
+        match continuation with
+        | None -> Future.return (List.concat (List.rev acc))
+        | Some c ->
+            let from, until = if reverse then (from, c) else (c, until) in
+            if from >= until then Future.return (List.concat (List.rev acc))
+            else loop ~from ~until acc (collected + List.length rows)
       end
-
-(* ---------- legacy range entry points (thin wrappers) ---------- *)
-
-let get_range ?snapshot ?limit ?reverse ?mode t ~from ~until () =
-  range_all t (Range_query.keys ?limit ?mode ?reverse ?snapshot ~from ~until ())
-
-(* The selector form historically clamped concrete (no-offset) endpoint
-   keys into the legal key space instead of raising. *)
-let clamp_trivial (s : Key_selector.t) =
-  if (not s.sel_or_equal) && s.sel_offset = 1 && s.sel_key > Types.key_space_end
-  then { s with Message.sel_key = Types.key_space_end }
-  else s
-
-let get_range_sel ?snapshot ?limit ?reverse ?mode t ~from ~until () =
-  range_all t
-    (Range_query.create ?limit ?mode ?reverse ?snapshot
-       ~begin_:(clamp_trivial from) ~end_:(clamp_trivial until) ())
-
-let get_range_stream ?(snapshot = false) ?(reverse = false) ?(mode = `Iterator)
-    ?continuation t ~from ~until () =
-  range t
-    (Range_query.keys ~limit:max_int ~mode ~reverse ~snapshot ?continuation
-       ~from ~until ())
+    in
+    loop ~from ~until [] 0
+  end
 
 (* ---------- writes ---------- *)
 

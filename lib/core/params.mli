@@ -49,9 +49,9 @@ val proxy_commit_pipeline_depth : int ref
 (** How many commit batches one proxy keeps in flight concurrently
     (default 4). Batch N+1 fetches its own LSN and overlaps resolution and
     log pushes with batch N's push/report; an in-order completion stage
-    keeps [Seq_report]s LSN-ordered and the proxy KCV monotone. 1 selects
-    the serial pre-pipeline commit path (kept verbatim as the benchmark
-    baseline). Mutable: benches sweep it; tests pin it. *)
+    keeps [Seq_report]s LSN-ordered and the proxy KCV monotone. 1 runs
+    the same pipeline one batch at a time. Mutable: benches sweep it;
+    tests pin it. *)
 
 val storage_peek_interval : float
 (** Failure backoff of a StorageServer's pull loop: the pause after a
@@ -88,10 +88,9 @@ val watch_poll_timeout : float ref
 
 (* {2 Range-read pipeline} *)
 
-val client_range_fanout : int ref
+val client_range_fanout : int
 (** How many per-shard sub-reads a single range read keeps in flight
-    concurrently (default 4). Mutable: benches sweep it; 1 degrades to the
-    old sequential walk. *)
+    concurrently. *)
 
 val range_rows_per_batch : int
 (** Row budget of one iterator-mode streaming batch. *)

@@ -306,108 +306,7 @@ let reply_batch promises verdicts reply =
       ignore (Future.try_fulfill promises.(i) r : bool))
     verdicts
 
-(* ---------- the serial commit path (pipeline depth 1) ----------
-
-   The pre-pipeline implementation, kept verbatim as the baseline the
-   commit-pipeline benchmark and the serial-vs-pipelined equivalence tests
-   run against: one batch at a time, each awaited end-to-end (version RPC,
-   resolve, log push, report) before the next starts. *)
-
-let commit_batch t (batch : pending_commit list) =
-  let txns = Array.of_list (List.map fst batch) in
-  let promises = Array.of_list (List.map snd batch) in
-  let n = Array.length txns in
-  let bytes = Array.fold_left (fun acc txn -> acc + txn_bytes txn) 0 txns in
-  let* () =
-    Engine.cpu t.proc
-      (Params.proxy_per_batch
-      +. Params.cpu
-           ((Params.proxy_per_txn *. float_of_int n)
-           +. (Params.proxy_per_byte *. float_of_int bytes)))
-  in
-  (* Buggify: an unusually slow proxy exercises pipelining and timeouts. *)
-  let* () = Engine.sleep (Buggify.delay ~p:0.05 "proxy_slow_commit" /. 20.0) in
-  (* One commit version for the whole batch (§2.6 Transaction batching). *)
-  let* version_reply =
-    Future.catch
-      (fun () -> Context.rpc t.ctx ~timeout:2.0 ~from:t.proc t.sequencer Message.Seq_version)
-      (fun _ ->
-        die t "sequencer unreachable (commit)";
-        Future.return (Message.Reject Error.Database_locked))
-  in
-  match version_reply with
-  | Message.Seq_version_reply { version = lsn; prev } ->
-      let* verdicts = resolve_batch t lsn prev txns in
-      let committed_mutations = committed_payload lsn txns verdicts in
-      let entries = build_log_entries t lsn prev ~kcv:t.kcv committed_mutations in
-      let* all_acked = push_to_logs t entries in
-      if not all_acked then begin
-        (* Durability unknown: recovery will decide. Fail the epoch. *)
-        reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
-        die t "log push failed";
-        Future.return ()
-      end
-      else begin
-        if lsn > t.kcv then t.kcv <- lsn;
-        (* Report the committed version to the Sequencer and wait for the
-           acknowledgment BEFORE replying to clients (§2.4.1): a client
-           holding our reply may immediately obtain a read version from any
-           proxy, and that version must cover this commit. A fire-and-forget
-           report races that GRV and yields stale snapshots (found by the
-           read-your-writes property test). *)
-        let* reported =
-          Future.catch
-            (fun () ->
-              let* _ =
-                Context.rpc t.ctx ~timeout:2.0 ~from:t.proc t.sequencer
-                  (Message.Seq_report { committed = lsn })
-              in
-              Future.return true)
-            (fun _ -> Future.return false)
-        in
-        if not reported then begin
-          (* Durable but unannounced: only a new generation restores the
-             GRV guarantee; clients must treat the outcome as unknown. *)
-          reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
-          die t "sequencer unreachable (report)";
-          Future.return ()
-        end
-        else begin
-          Trace.emit "proxy_commit_done"
-            [ ("lsn", Int64.to_string lsn); ("kcv", Int64.to_string t.kcv) ];
-          reply_batch promises verdicts (Message.Commit_reply lsn);
-          Future.return ()
-        end
-      end
-  | _ ->
-      (* No version, nothing logged: definitely not committed. *)
-      Array.iter
-        (fun p -> ignore (Future.try_fulfill p (Message.Reject Error.Database_locked) : bool))
-        promises;
-      Future.return ()
-
-let rec commit_flush_serial t =
-  t.commit_flush_scheduled <- false;
-  if Queue.is_empty t.commit_queue then Future.return ()
-  else if t.commit_inflight >= 1 then
-    (* A racing flush (scheduled while the running one awaited its batch)
-       must not start a second concurrent batch: depth 1 means one batch in
-       flight, full stop. The running loop drains the queue. *)
-    Future.return ()
-  else begin
-    let batch = dequeue_up_to t.commit_queue !Params.max_commit_batch in
-    Fdb_obs.Registry.set_gauge t.obs_queue_depth
-      (float_of_int (Queue.length t.commit_queue));
-    t.commit_inflight <- 1;
-    Fdb_obs.Registry.set_gauge t.obs_inflight 1.0;
-    let* () = commit_batch t batch in
-    t.commit_inflight <- 0;
-    Fdb_obs.Registry.set_gauge t.obs_inflight 0.0;
-    if not (Queue.is_empty t.commit_queue) then commit_flush_serial t
-    else Future.return ()
-  end
-
-(* ---------- the pipelined commit path (§2.4.1 LSN chaining) ----------
+(* ---------- the commit pipeline (§2.4.1 LSN chaining) ----------
 
    Up to [Params.proxy_commit_pipeline_depth] batches run concurrently.
    Each fetches its own (lsn, prev) pair — gated on the previous batch's
@@ -419,7 +318,7 @@ let rec commit_flush_serial t =
    reports reach the Sequencer in LSN order, the KCV advances monotonically
    and a failed batch fails every later in-flight batch. *)
 
-let commit_batch_pipelined t ~version_gate ~version_ready ~prev_done ~done_p
+let commit_batch t ~version_gate ~version_ready ~prev_done ~done_p
     (batch : pending_commit list) =
   let txns = Array.of_list (List.map fst batch) in
   let promises = Array.of_list (List.map snd batch) in
@@ -536,7 +435,7 @@ let commit_batch_pipelined t ~version_gate ~version_ready ~prev_done ~done_p
           let* prev_outcome = prev_done in
           finish prev_outcome
 
-let rec commit_flush_pipelined t =
+let rec commit_flush t =
   t.commit_flush_scheduled <- false;
   if Queue.is_empty t.commit_queue then Future.return ()
   else if t.dead then begin
@@ -566,21 +465,17 @@ let rec commit_flush_pipelined t =
     Fdb_obs.Registry.set_gauge t.obs_inflight (float_of_int t.commit_inflight);
     Engine.spawn ~process:t.proc "proxy-commit-batch" (fun () ->
         let* () =
-          commit_batch_pipelined t ~version_gate ~version_ready ~prev_done ~done_p
+          commit_batch t ~version_gate ~version_ready ~prev_done ~done_p
             batch
         in
         t.commit_inflight <- t.commit_inflight - 1;
         Fdb_obs.Registry.set_gauge t.obs_inflight (float_of_int t.commit_inflight);
         if Queue.is_empty t.commit_queue then Future.return ()
-        else commit_flush_pipelined t);
+        else commit_flush t);
     (* Keep launching while the depth and the queue allow. *)
     if Queue.is_empty t.commit_queue then Future.return ()
-    else commit_flush_pipelined t
+    else commit_flush t
   end
-
-let commit_flush t =
-  if !Params.proxy_commit_pipeline_depth <= 1 then commit_flush_serial t
-  else commit_flush_pipelined t
 
 let schedule_commit_flush t ~now =
   if not t.commit_flush_scheduled then begin

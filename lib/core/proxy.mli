@@ -18,8 +18,8 @@
     re-orders out-of-order arrivals — while an in-order completion stage
     keeps [Seq_report]s LSN-ordered, the KCV monotone, and fails every
     in-flight batch after a failed one (see DESIGN.md "The commit
-    pipeline"). Depth 1 is the serial pre-pipeline path, kept verbatim as
-    the benchmark baseline. *)
+    pipeline"). There is one commit path: depth 1 is the same pipeline
+    with a window of one batch. *)
 
 type t
 

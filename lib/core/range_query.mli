@@ -4,10 +4,9 @@
     A query names its two endpoints as key selectors (paper §2.2), a row
     limit, a streaming mode (how storage round-trips are budgeted), a
     direction, snapshot-ness, and an optional continuation cursor. The
-    client exposes two evaluators: {!Client.range} runs one bounded batch
-    and returns a continuation, {!Client.range_all} drains the query. The
-    legacy [get_range] / [get_range_sel] / [get_range_stream] entry points
-    are thin wrappers that build a [Range_query.t] and call those. *)
+    client exposes two evaluators, its only range reads: {!Client.range}
+    runs one bounded batch and returns a continuation, {!Client.range_all}
+    drains the query. *)
 
 type mode = [ `Want_all | `Iterator | `Exact of int ]
 (** [`Want_all] drains with large batches, [`Iterator] uses modest row/byte

@@ -25,17 +25,20 @@ let add tx t ~payload =
   Client.set_versionstamped_key tx ~template ~offset:(String.length head)
     ~value:payload
 
+let head tx t =
+  Client.range_all tx (Range_query.keys ~limit:1 ~from:t.from ~until:t.until ())
+
 let is_empty tx t =
-  let* head = Client.get_range tx ~limit:1 ~from:t.from ~until:t.until () in
+  let* head = head tx t in
   Future.return (head = [])
 
 let run_one db t ~f =
   Client.run db (fun tx ->
-      let* head = Client.get_range tx ~limit:1 ~from:t.from ~until:t.until () in
+      let* head = head tx t in
       match head with
       | [] -> Future.return false
       | (key, payload) :: _ ->
-          (* Claim = read (conflict range via get_range) + clear; racing
+          (* Claim = read (conflict range via the range read) + clear; racing
              executors conflict here and retry onto the next task. *)
           Client.clear tx key;
           let* followups = f tx payload in

@@ -79,8 +79,9 @@ let check db ~n =
               if seen > n + 10 then Future.return (List.rev acc)
               else
                 let* b =
-                  Client.get_range_stream ?continuation tx ~from:"ring/"
-                    ~until:"ring0" ()
+                  Client.range tx
+                    (Range_query.keys ~limit:max_int ~mode:`Iterator
+                       ?continuation ~from:"ring/" ~until:"ring0" ())
                 in
                 let acc = List.rev_append b.Client.batch_rows acc in
                 match b.Client.batch_continuation with

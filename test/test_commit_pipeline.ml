@@ -1,9 +1,10 @@
 (* The pipelined proxy commit path (overlapping in-flight batches):
 
    - qcheck property: for a generated workload of concurrent blind-write
-     bursts plus a deterministic conflict gadget, running with pipeline
-     depth 4 yields byte-for-byte the same client outcomes and the same
-     final storage contents as the serial path (depth 1) on the same seed;
+     bursts plus a deterministic conflict gadget, pipeline depths 1 and 4
+     both yield exactly the outcome every serial schedule gives — each
+     burst write commits, the gadget's loser fails, and the final storage
+     contents hold every burst key plus the gadget's winning write;
    - buggify reorder regression: with `proxy_slow_commit` and
      `tlog_slow_sync` active, batch completion is reordered mid-pipeline,
      yet Seq_report traces stay LSN-ordered, the proxy KCV stays monotone,
@@ -36,7 +37,7 @@ let with_cluster ?(seed = 11L) ?(buggify = false) ?(config = Config.test_small)
       let* () = Cluster.wait_ready cluster in
       body cluster)
 
-(* ---------- serial-vs-pipelined equivalence (qcheck) ---------- *)
+(* ---------- outcomes against a serial-schedule model (qcheck) ---------- *)
 
 type outcome = Committed | Failed of string
 
@@ -98,7 +99,8 @@ let run_workload ~depth ~seed (bursts : (int list) list) =
           let* () = Engine.sleep 1.0 in
           let* final =
             Client.run db (fun tx ->
-                Client.get_range tx ~limit:10_000 ~from:"cp/" ~until:"cp0" ())
+                Client.range_all tx
+                  (Range_query.keys ~limit:10_000 ~from:"cp/" ~until:"cp0" ()))
           in
           Future.return (List.concat burst_outs @ [ gadget ], final)))
 
@@ -107,29 +109,41 @@ let gen_bursts =
     list_size (int_range 1 3)
       (list_size (int_range 1 10) (int_range 0 99_999)))
 
-let qcheck_equivalence =
+(* The answer no schedule may change: every burst write commits, the
+   gadget's t1 fails with [Not_committed], and the keyspace holds each
+   burst key with its value plus the gadget's winning write. *)
+let model bursts =
+  let outcomes =
+    List.concat_map (List.map (fun _ -> Committed)) bursts
+    @ [ Failed (Error.to_string Error.Not_committed) ]
+  in
+  let writes =
+    List.concat
+      (List.mapi (fun b ops -> List.mapi (fun i v -> (key b i, value v)) ops) bursts)
+  in
+  (outcomes, List.sort compare (("cp/gadget", "winner") :: writes))
+
+let qcheck_model =
   QCheck.Test.make
-    ~name:"pipelined commits match serial replies and storage state" ~count:4
-    (QCheck.make gen_bursts)
+    ~name:"pipelined commits match serial-schedule model at depths 1 and 4"
+    ~count:4 (QCheck.make gen_bursts)
     (fun bursts ->
-      let serial = run_workload ~depth:1 ~seed:17L bursts in
-      let pipelined = run_workload ~depth:4 ~seed:17L bursts in
-      let outcomes_s, final_s = serial in
-      let outcomes_p, final_p = pipelined in
-      if outcomes_s <> outcomes_p then begin
-        Printf.printf "outcome mismatch: serial %d vs pipelined %d entries\n"
-          (List.length outcomes_s) (List.length outcomes_p);
-        false
-      end
-      else if final_s <> final_p then begin
-        Printf.printf "final state mismatch: %d vs %d rows\n"
-          (List.length final_s) (List.length final_p);
-        false
-      end
-      else
-        (* The gadget must have lost deterministically, not by luck. *)
-        List.nth outcomes_s (List.length outcomes_s - 1)
-        = Failed (Error.to_string Error.Not_committed))
+      let expected_outcomes, expected_final = model bursts in
+      List.for_all
+        (fun depth ->
+          let outcomes, final = run_workload ~depth ~seed:17L bursts in
+          if outcomes <> expected_outcomes then begin
+            Printf.printf "depth %d: outcomes differ from the model (%d vs %d)\n"
+              depth (List.length outcomes) (List.length expected_outcomes);
+            false
+          end
+          else if final <> expected_final then begin
+            Printf.printf "depth %d: final rows differ from the model (%d vs %d)\n"
+              depth (List.length final) (List.length expected_final);
+            false
+          end
+          else true)
+        [ 1; 4 ])
 
 (* ---------- buggify reorder regression ---------- *)
 
@@ -321,7 +335,7 @@ let test_pipeline_metrics_registered () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest qcheck_equivalence;
+    QCheck_alcotest.to_alcotest qcheck_model;
     Alcotest.test_case "buggify reorder keeps LSN order" `Slow
       test_buggify_reorder_keeps_order;
     Alcotest.test_case "push failure fails later in-flight batches" `Slow

@@ -133,7 +133,8 @@ let test_cutover_atomicity () =
           else
             let* rows =
               Client.run reader_db (fun tx ->
-                  Client.get_range tx ~limit:500 ~from:"mv/" ~until:"mv0" ())
+                  Client.range_all tx
+                    (Range_query.keys ~limit:500 ~from:"mv/" ~until:"mv0" ()))
             in
             incr reads;
             if rows <> expected then incr bad;

@@ -46,6 +46,24 @@ let test_distinct_seeds_distinct_streams () =
     "different seeds exercise different event streams" true
     (not (Int64.equal (csum 3L) (csum 4L)))
 
+(* Golden trace checksums: two short buggified swarm seeds must replay to
+   exactly these values, so a change meant to leave scheduling alone (a
+   refactor, a deleted code path) cannot move a single event unnoticed.
+   A change that alters timing on purpose re-baselines by pasting the csum=
+   values printed by `dune exec bin/fdb_sim.exe -- swarm --seeds 2
+   --duration 10` below, and says so in its description. *)
+let golden_checksums = [ (1L, 0xfbe1ab3594aa66e5L); (2L, 0xc930a4c406d14d22L) ]
+
+let test_golden_checksums () =
+  List.iter
+    (fun (seed, golden) ->
+      let r = Swarm.run_one ~buggify:true ~duration:10.0 ~seed () in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %Ld trace checksum" seed)
+        (Printf.sprintf "%016Lx" golden)
+        (Printf.sprintf "%016Lx" r.Swarm.trace_checksum))
+    golden_checksums
+
 let test_checksum_sensitive_to_trace_kinds () =
   (* Same scheduling skeleton, different Trace.emit kinds — the observer
      must fold the kind into the checksum. *)
@@ -67,6 +85,7 @@ let suite =
     Alcotest.test_case "double run identical checksum" `Slow test_double_run_identical;
     Alcotest.test_case "double run identical with movement" `Slow
       test_double_run_identical_with_movement;
+    Alcotest.test_case "golden swarm checksums" `Quick test_golden_checksums;
     Alcotest.test_case "distinct seeds distinct streams" `Quick
       test_distinct_seeds_distinct_streams;
     Alcotest.test_case "trace kinds feed checksum" `Quick

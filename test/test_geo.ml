@@ -72,7 +72,8 @@ let test_region_failover () =
         let* () = Cluster.wait_ready ~timeout:90.0 cluster in
         let* rows =
           Client.run db (fun tx ->
-              Client.get_range tx ~limit:100 ~from:"geo/" ~until:"geo0" ())
+              Client.range_all tx
+                (Range_query.keys ~limit:100 ~from:"geo/" ~until:"geo0" ()))
         in
         let* _ =
           Client.run db (fun tx ->

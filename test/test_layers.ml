@@ -256,45 +256,40 @@ let test_verify_catches_corruption () =
   Alcotest.(check bool) "missing entry reported" true missing;
   Alcotest.(check bool) "counter drift reported" true counter
 
-(* ---------- unified range API: wrappers agree with Range_query ------- *)
+(* ---------- unified range API: every query form agrees with the data ---- *)
 
 let test_range_api_equivalence () =
   let pairs_eq =
     Alcotest.(check (list (pair string string)))
   in
-  let old_new =
+  let row i = (Printf.sprintf "rq/%03d" i, string_of_int i) in
+  let rows lo hi = List.init (hi - lo) (fun i -> row (lo + i)) in
+  let fwd, rev, sel, (streamed, whole) =
     with_cluster (fun cluster ->
         let db = Cluster.client cluster ~name:"range" in
         let* _ =
           Client.run db (fun tx ->
               for i = 0 to 39 do
-                Client.set tx (Printf.sprintf "rq/%03d" i) (string_of_int i)
+                let k, v = row i in
+                Client.set tx k v
               done;
               Future.return ())
         in
         Client.run db (fun tx ->
-            let* old_fwd =
-              Client.get_range tx ~limit:10 ~from:"rq/" ~until:"rq0" ()
-            in
-            let* new_fwd =
+            let* fwd =
               Client.range_all tx
                 (Range_query.keys ~limit:10 ~from:"rq/" ~until:"rq0" ())
             in
-            let* old_rev =
-              Client.get_range tx ~reverse:true ~limit:7 ~from:"rq/" ~until:"rq0" ()
-            in
-            let* new_rev =
+            let* rev =
               Client.range_all tx
                 (Range_query.keys ~reverse:true ~limit:7 ~from:"rq/" ~until:"rq0" ())
             in
-            let sel_from = Client.Key_selector.first_greater_than "rq/004" in
-            let sel_until = Client.Key_selector.first_greater_or_equal "rq/011" in
-            let* old_sel =
-              Client.get_range_sel tx ~from:sel_from ~until:sel_until ()
-            in
-            let* new_sel =
+            let* sel =
               Client.range_all tx
-                (Range_query.create ~begin_:sel_from ~end_:sel_until ())
+                (Range_query.create
+                   ~begin_:(Client.Key_selector.first_greater_than "rq/004")
+                   ~end_:(Client.Key_selector.first_greater_or_equal "rq/011")
+                   ())
             in
             (* Streamed batches stitched by continuation must equal the
                one-shot read. *)
@@ -310,16 +305,16 @@ let test_range_api_equivalence () =
               | None -> Future.return acc
             in
             let* streamed = stream [] in
-            let* whole = Client.get_range tx ~from:"rq/" ~until:"rq0" () in
-            Future.return
-              ((old_fwd, new_fwd), (old_rev, new_rev), (old_sel, new_sel),
-               (streamed, whole))))
+            let* whole =
+              Client.range_all tx (Range_query.keys ~from:"rq/" ~until:"rq0" ())
+            in
+            Future.return (fwd, rev, sel, (streamed, whole))))
   in
-  let (of_, nf), (or_, nr), (os, ns), (st, wh) = old_new in
-  pairs_eq "forward+limit agree" of_ nf;
-  pairs_eq "reverse+limit agree" or_ nr;
-  pairs_eq "selector endpoints agree" os ns;
-  pairs_eq "stitched stream equals one-shot" st wh
+  pairs_eq "forward+limit" (rows 0 10) fwd;
+  pairs_eq "reverse+limit" (List.rev (rows 33 40)) rev;
+  pairs_eq "selector endpoints" (rows 5 11) sel;
+  pairs_eq "one-shot read" (rows 0 40) whole;
+  pairs_eq "stitched stream equals one-shot" whole streamed
 
 let suite =
   [

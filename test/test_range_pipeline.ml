@@ -3,7 +3,7 @@
    - qcheck model tests: key-selector resolution ([Client.get_key]) against
      a pure sorted-list model, on both the storage path (clean transaction)
      and the RYW path (buffered sets/clears in the transaction);
-   - qcheck model test: continuation-stitched [get_range_stream] against a
+   - qcheck model test: continuation-stitched [Client.range] against a
      reference assoc list, with the per-round-trip byte budget shrunk so a
      single scan is forced through many stitched batches, RYW merge
      included;
@@ -156,7 +156,11 @@ let qcheck_selector_ryw =
 let stream_all ?(reverse = false) tx ~from ~until =
   let batches = ref 0 in
   let rec scan ?continuation acc =
-    let* b = Client.get_range_stream ~reverse ?continuation tx ~from ~until () in
+    let* b =
+      Client.range tx
+        (Range_query.keys ~limit:max_int ~mode:`Iterator ~reverse ?continuation
+           ~from ~until ())
+    in
     incr batches;
     let acc = List.rev_append b.Client.batch_rows acc in
     match b.Client.batch_continuation with
@@ -249,7 +253,8 @@ let test_failover_identical_data () =
           else
             let* rows =
               Client.run db (fun tx ->
-                  Client.get_range tx ~limit:100 ~from:"rp/" ~until:"rp0" ())
+                  Client.range_all tx
+                    (Range_query.keys ~limit:100 ~from:"rp/" ~until:"rp0" ()))
             in
             reads (n - 1) (ok && rows = expected)
         in
@@ -295,7 +300,9 @@ let test_shard_move_mid_read () =
         (* Resolve the snapshot up front so starting the read issues the
            per-shard sub-reads synchronously, against the pinned teams... *)
         let* (_ : Types.version * Types.epoch) = Client.read_snapshot tx in
-        let read = Client.get_range tx ~limit:200 ~from:"rp/" ~until:"rp0" () in
+        let read =
+          Client.range_all tx (Range_query.keys ~limit:200 ~from:"rp/" ~until:"rp0" ())
+        in
         (* ...and yank every shard to the lowest-id member while those
            requests are on the wire. Both members held the data from the
            start (set_team models no data movement), so the servers the
@@ -325,6 +332,65 @@ let test_shard_move_mid_read () =
     (Printf.sprintf "the stale fragments re-resolved (%d)" re_resolves)
     true (re_resolves > 0)
 
+(* ---------- selector walks are read conflicts ---------- *)
+
+(* t1 range-reads from [first_greater_than "sc/1"] while only "sc/5"
+   exists, so its begin endpoint resolves to "sc/5" after walking past
+   every key in ("sc/1", "sc/5"]. t2 then inserts "sc/3" — inside the walk,
+   outside the rows t1 read — and commits before t1 writes and commits.
+   With "sc/3" present t1's read would have started there, so t1 must lose
+   unless its read was a snapshot read. Returns t1's rows and outcome. *)
+let selector_walk_outcome ~snapshot read =
+  with_cluster ~seed:23L (fun cluster ->
+      let db = Cluster.client cluster ~name:"selwalk" in
+      let* _ =
+        Client.run db (fun tx ->
+            Client.set tx "sc/5" "five";
+            Future.return ())
+      in
+      let t1 = Client.begin_tx db in
+      let* rows =
+        read t1
+          (Range_query.create ~snapshot
+             ~begin_:(Client.Key_selector.first_greater_than "sc/1")
+             ~end_:(Client.Key_selector.first_greater_or_equal "sc0")
+             ())
+      in
+      let t2 = Client.begin_tx db in
+      Client.set t2 "sc/3" "three";
+      let* (_ : Types.version) = Client.commit t2 in
+      Client.set t1 "sc/out" "x";
+      let* outcome =
+        Future.catch
+          (fun () ->
+            let* (_ : Types.version) = Client.commit t1 in
+            Future.return "committed")
+          (fun e ->
+            Future.return
+              (match Client.Error.classify e with
+              | Some err -> Client.Error.to_string err
+              | None -> Printexc.to_string e))
+      in
+      Future.return (rows, outcome))
+
+let test_selector_walk_conflicts () =
+  let batch_rows tx q =
+    let* b = Client.range tx q in
+    Future.return b.Client.batch_rows
+  in
+  let not_committed = Error.to_string Error.Not_committed in
+  List.iter
+    (fun (name, snapshot, read, expected) ->
+      let rows, outcome = selector_walk_outcome ~snapshot read in
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": rows") [ ("sc/5", "five") ] rows;
+      Alcotest.(check string) (name ^ ": t1 outcome") expected outcome)
+    [
+      ("range_all", false, Client.range_all, not_committed);
+      ("range", false, batch_rows, not_committed);
+      ("snapshot range_all", true, Client.range_all, "committed");
+    ]
+
 (* ---------- transaction options ---------- *)
 
 let test_tx_options () =
@@ -341,7 +407,7 @@ let test_tx_options () =
               in
               let* _ =
                 Client.run db ~options (fun tx ->
-                    Client.get_range tx ~from:"rp/" ~until:"rp0" ())
+                    Client.range_all tx (Range_query.keys ~from:"rp/" ~until:"rp0" ()))
               in
               Future.return "no-error")
             (function
@@ -371,7 +437,9 @@ let test_tx_options () =
                 { Client.default_options with opt_max_read_bytes = Some 40 };
               Future.catch
                 (fun () ->
-                  let* _ = Client.get_range tx ~from:"rp/" ~until:"rp0" () in
+                  let* _ =
+                    Client.range_all tx (Range_query.keys ~from:"rp/" ~until:"rp0" ())
+                  in
                   Future.return "no-error")
                 (function
                   | Error.Fdb Error.Transaction_too_large ->
@@ -397,4 +465,6 @@ let suite =
     Alcotest.test_case "shard move mid-read re-resolves" `Quick
       test_shard_move_mid_read;
     Alcotest.test_case "tx options are enforced" `Quick test_tx_options;
+    Alcotest.test_case "selector walks are read conflicts" `Quick
+      test_selector_walk_conflicts;
   ]

@@ -58,7 +58,8 @@ let test_log_server_kill_recovers_committed_data () =
         | p :: _ -> Engine.kill p
         | [] -> Alcotest.fail "no tlog process found");
         let* () = Cluster.wait_ready ~timeout:60.0 cluster in
-        Client.run db (fun tx -> Client.get_range tx ~limit:100 ~from:"d/" ~until:"d0" ()))
+        Client.run db (fun tx ->
+            Client.range_all tx (Range_query.keys ~limit:100 ~from:"d/" ~until:"d0" ())))
   in
   Alcotest.(check int) "all 50 rows survive" 50 (List.length r)
 
@@ -112,7 +113,8 @@ let test_full_cluster_reboot_durability () =
           (Cluster.worker_machines cluster);
         let* () = Cluster.wait_ready ~timeout:90.0 cluster in
         Client.run db (fun tx ->
-            Client.get_range tx ~limit:100 ~from:"dur/" ~until:"dur0" ()))
+            Client.range_all tx
+              (Range_query.keys ~limit:100 ~from:"dur/" ~until:"dur0" ())))
   in
   Alcotest.(check int) "acknowledged rows survive full restart" 20 (List.length r)
 
@@ -134,7 +136,8 @@ let test_repeated_recoveries () =
         let* () = cycle 0 in
         let* epoch = Cluster.current_epoch cluster in
         let* rows =
-          Client.run db (fun tx -> Client.get_range tx ~from:"cyc/" ~until:"cyc0" ())
+          Client.run db (fun tx ->
+              Client.range_all tx (Range_query.keys ~from:"cyc/" ~until:"cyc0" ()))
         in
         Future.return (epoch, List.length rows))
   in
@@ -201,7 +204,9 @@ let test_log_prune_survives_reboot_and_recovery () =
           (find_processes cluster (Printf.sprintf "tlog-%d." epoch));
         let* () = Cluster.wait_ready ~timeout:60.0 cluster in
         let* rows =
-          Client.run db (fun tx -> Client.get_range tx ~limit:50 ~from:"pr/" ~until:"pr0" ())
+          Client.run db (fun tx ->
+              Client.range_all tx
+                (Range_query.keys ~limit:50 ~from:"pr/" ~until:"pr0" ()))
         in
         let* _ = write_marker db "pr-after" "y" in
         let* v = read_marker db "pr-after" in
