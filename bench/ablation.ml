@@ -51,14 +51,13 @@ let run () =
   Bench_util.row "%-14s %12s\n" "batch cap" "txns/s (1-key writes)";
   List.iter
     (fun cap ->
-      Params.max_commit_batch := cap;
+      let config = { (base_config ()) with Config.max_commit_batch = cap } in
       let txns, _, _, _ =
-        Bench_util.with_sim ~cpu_scale:scale (base_config ()) (fun cluster ->
+        Bench_util.with_sim ~cpu_scale:scale config (fun cluster ->
             let* () = Bench_util.preload cluster ~universe in
             Bench_util.closed_loop cluster ~clients:(40 * machines) ~warmup:0.3
               ~measure:0.4 ~txn:point)
       in
-      Params.max_commit_batch := 512;
       Bench_util.row "%-14d %12.0f\n" cap txns)
     [ 1; 8; 64; 512 ];
 

@@ -37,7 +37,8 @@ let rand_key rng universe = key (Rng.int rng universe)
 let rand_value rng = Rng.alphanum rng (8 + Rng.int rng 93)
 
 (* Bulk preload with CPU costs suspended (the paper pre-populates out of
-   band); restores the scale and lets the pipeline drain. *)
+   band); restores the scale, even when the load fails, and lets the
+   pipeline drain. *)
 let preload cluster ~universe =
   let saved = !Params.cpu_scale in
   Params.cpu_scale := 0.0;
@@ -58,8 +59,7 @@ let preload cluster ~universe =
       load hi
     end
   in
-  let* () = load 0 in
-  Params.cpu_scale := saved;
+  let* () = Future.protect ~finally:(fun () -> Params.cpu_scale := saved) (fun () -> load 0) in
   Engine.sleep 1.0
 
 (* ---------- closed loop (figure 8): saturate and measure ---------- *)

@@ -1,6 +1,6 @@
 (* Commit-pipeline bench: the proxy's one commit pipeline at depth 1 (one
    batch in flight, the serial baseline) vs depth
-   [Params.proxy_commit_pipeline_depth] on a single-proxy cluster, under
+   [Config.commit_pipeline_depth] on a single-proxy cluster, under
    an open-loop blind-write load at several offered rates. Records
    committed txn/s and client-observed commit latency p50/p99 per load
    into BENCH_commit.json, plus the speedup at the saturating load.
@@ -20,11 +20,13 @@ module Histogram = Fdb_util.Histogram
 type point = { tps : float; p50_ms : float; p99_ms : float; failed : int }
 
 (* One offered-load measurement on a fresh single-proxy cluster. *)
-let measure_load ~depth ~rate ~warmup ~measure ~universe =
-  let config = { Config.default with Config.proxies = 1 } in
+let measure_load ~depth ~batch_cap ~rate ~warmup ~measure ~universe =
+  let config =
+    { Config.default with Config.proxies = 1; commit_pipeline_depth = depth;
+      max_commit_batch = batch_cap }
+  in
   let tps = ref 0.0 and p50 = ref 0.0 and p99 = ref 0.0 and failed = ref 0 in
   Bench_util.with_sim ~cpu_scale:1.0 config (fun cluster ->
-      Params.proxy_commit_pipeline_depth := depth;
       let hist = Histogram.create () in
       let committed = ref 0 in
       let measuring = ref false in
@@ -110,31 +112,19 @@ let run ?(smoke = false) () =
     else [ 2_000.0; 4_000.0; 8_000.0; 14_000.0; 20_000.0 ]
   in
   let warmup = 0.5 and measure = if smoke then 1.5 else 4.0 in
-  let saved_depth = !Params.proxy_commit_pipeline_depth in
-  let saved_cap = !Params.max_commit_batch in
-  Params.max_commit_batch := batch_cap;
-  let finish () =
-    Params.proxy_commit_pipeline_depth := saved_depth;
-    Params.max_commit_batch := saved_cap
-  in
   let rows =
-    try
-      List.map
-        (fun rate ->
-          let serial = measure_load ~depth:1 ~rate ~warmup ~measure ~universe in
-          let pipelined = measure_load ~depth ~rate ~warmup ~measure ~universe in
-          Printf.printf
-            "offered %6.0f/s   serial %6.0f/s (p50 %6.2f ms, p99 %7.2f ms)   \
-             depth %d %6.0f/s (p50 %6.2f ms, p99 %7.2f ms)\n%!"
-            rate serial.tps serial.p50_ms serial.p99_ms depth pipelined.tps
-            pipelined.p50_ms pipelined.p99_ms;
-          (rate, serial, pipelined))
-        loads
-    with e ->
-      finish ();
-      raise e
+    List.map
+      (fun rate ->
+        let serial = measure_load ~depth:1 ~batch_cap ~rate ~warmup ~measure ~universe in
+        let pipelined = measure_load ~depth ~batch_cap ~rate ~warmup ~measure ~universe in
+        Printf.printf
+          "offered %6.0f/s   serial %6.0f/s (p50 %6.2f ms, p99 %7.2f ms)   \
+           depth %d %6.0f/s (p50 %6.2f ms, p99 %7.2f ms)\n%!"
+          rate serial.tps serial.p50_ms serial.p99_ms depth pipelined.tps
+          pipelined.p50_ms pipelined.p99_ms;
+        (rate, serial, pipelined))
+      loads
   in
-  finish ();
   (* Saturation point: the load where depth 1 leaves the most offered
      transactions on the table. *)
   let _, sat_serial, sat_pipelined =

@@ -570,7 +570,7 @@ let batch_budgets mode ~remaining =
   match mode with
   | `Want_all -> (remaining, Params.range_bytes_want_all)
   | `Iterator ->
-      (min remaining Params.range_rows_per_batch, !Params.range_bytes_per_req)
+      (min remaining Params.range_rows_per_batch, Params.range_bytes_per_req)
   | `Exact n -> (min remaining (max 1 n), Params.range_bytes_want_all)
 
 (* ---------- key-selector resolution ---------- *)
@@ -963,7 +963,7 @@ let rec watch_poll db w ~version ~epoch =
                 let ep = db.ctx.Context.storage_eps.(ss) in
                 let* r =
                   Context.rpc db.ctx
-                    ~timeout:(!Params.watch_poll_timeout +. 1.0)
+                    ~timeout:(Params.watch_poll_timeout +. 1.0)
                     ~from:db.proc ep
                     (Message.Ss_watch
                        { w_key = w.wt_key; w_version = version; w_epoch = epoch })

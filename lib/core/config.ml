@@ -14,6 +14,8 @@ type t = {
   disks_per_machine : int;
   shard_boundaries : string list;
   regions : int;
+  max_commit_batch : int;
+  commit_pipeline_depth : int;
 }
 
 let region_of_machine t m = Printf.sprintf "dc%d" (1 + (m mod max 1 t.regions))
@@ -33,47 +35,39 @@ let default =
     cc_candidates = 3;
     racks = 5;
     disks_per_machine = 8;
-  shard_boundaries = [];
+    shard_boundaries = [];
     regions = 1;
+    max_commit_batch = 512;
+    commit_pipeline_depth = 4;
   }
 
 let test_small =
   {
+    default with
     machines = 3;
-    coordinators = 3;
     proxies = 1;
-    resolvers = 1;
     log_servers = 2;
     storage_per_machine = 1;
     log_replication = 2;
     storage_replication = 2;
-    mvcc_window = 5.0;
-    shards_per_storage = 2;
     cc_candidates = 2;
     racks = 3;
     disks_per_machine = 2;
-  shard_boundaries = [];
-    regions = 1;
   }
 
 let scaled ~machines =
   let ts = max 2 (machines - 2) in
   {
+    default with
     machines;
-    coordinators = 3;
     proxies = ts;
     resolvers = 2;
     log_servers = ts;
     storage_per_machine = 14;
     log_replication = min 3 ts;
     storage_replication = min 3 (machines * 14);
-    mvcc_window = 5.0;
     shards_per_storage = 4;
-    cc_candidates = 3;
     racks = min machines 9;
-    disks_per_machine = 8;
-    shard_boundaries = [];
-    regions = 1;
   }
 
 let storage_count t = t.machines * t.storage_per_machine
@@ -87,4 +81,6 @@ let validate t =
     Error "storage replication exceeds storage servers"
   else if t.proxies < 1 || t.resolvers < 1 || t.log_servers < 1 then
     Error "need at least one proxy, resolver and log server"
+  else if t.max_commit_batch < 1 || t.commit_pipeline_depth < 1 then
+    Error "commit batch size and pipeline depth must be at least 1"
   else Ok ()

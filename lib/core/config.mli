@@ -26,6 +26,8 @@ type t = {
           its synchronous-replication mode: commits wait for cross-region
           log replicas, and the §2.4.4 recovery performs automatic failover
           when a whole region dies. *)
+  max_commit_batch : int;  (** transactions per proxy commit batch (§2.6); 1 = no batching *)
+  commit_pipeline_depth : int;  (** commit batches one proxy keeps in flight; 1 = one at a time *)
 }
 
 val region_of_machine : t -> int -> string

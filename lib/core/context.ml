@@ -1,5 +1,10 @@
 open Fdb_sim
 
+type dd_thresholds =
+  { split_bytes : int; split_bandwidth : float; merge_bytes : int; imbalance_ratio : float }
+
+type dd_policy = { interval : float; thresholds : dd_thresholds option }
+
 type t = {
   net : Message.t Network.t;
   config : Config.t;
@@ -8,7 +13,11 @@ type t = {
   worker_eps : int array;
   storage_eps : int array;
   metrics : Fdb_obs.Registry.t; (* the cluster-wide metrics plane *)
+  mutable dd_policy : dd_policy;
 }
+
+let idle_dd_policy = { interval = 1.0; thresholds = None }
+let set_dd_policy t p = t.dd_policy <- p
 
 let rpc t ?timeout ?bytes ~from ep msg =
   Future.bind (Network.call t.net ?timeout ?bytes ~from ep msg) (function

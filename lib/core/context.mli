@@ -7,6 +7,18 @@
     NOT here — they travel through recruitment messages and the
     coordinated state, as in the paper. *)
 
+type dd_thresholds = {
+  split_bytes : int;  (** split a shard whose persistent size exceeds this *)
+  split_bandwidth : float;  (** ... or whose read+write traffic exceeds this (bytes/s) *)
+  merge_bytes : int;  (** merge adjacent same-team shards both smaller than this *)
+  imbalance_ratio : float;  (** move a shard off a server this many times hotter than the coldest *)
+}
+
+type dd_policy = {
+  interval : float;  (** how often the DataDistributor's rebalance loop wakes *)
+  thresholds : dd_thresholds option;  (** [None]: no splits, merges or moves *)
+}
+
 type t = {
   net : Message.t Fdb_sim.Network.t;
   config : Config.t;
@@ -16,7 +28,18 @@ type t = {
   storage_eps : int array;  (** storage server endpoint, by server id *)
   metrics : Fdb_obs.Registry.t;
       (** cluster-wide metrics plane: every role publishes here *)
+  mutable dd_policy : dd_policy;
+      (** shared by every DataDistributor incarnation; see {!set_dd_policy} *)
 }
+
+val idle_dd_policy : dd_policy
+(** Where every cluster starts: wake every 1 s, movement off — runs that
+    do not opt in keep byte-identical schedules and checksums. *)
+
+val set_dd_policy : t -> dd_policy -> unit
+(** The one way to change a cluster's data-distribution policy, right
+    after [Cluster.create] or mid-run; the rebalance loop reads it on its
+    next wakeup. *)
 
 val rpc :
   t ->

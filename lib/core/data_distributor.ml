@@ -249,10 +249,11 @@ let machine_of t ss = ss / t.ctx.Context.config.Config.storage_per_machine
 (* One rebalance pass. Deterministic: all scans are in array-index or
    key-sorted order, ties resolve to the lowest index. At most one split,
    one merge, and one move per pass keeps the schedule easy to reason about
-   (and keeps the double-run checksum oracle meaningful). *)
-let rebalance_tick t =
+   (and keeps the double-run checksum oracle meaningful). One pass runs
+   under the thresholds it started with. *)
+let rebalance_tick t (th : Context.dd_thresholds) =
   let map = t.ctx.Context.shard_map in
-  let interval = !Params.dd_rebalance_interval in
+  let interval = t.ctx.Context.dd_policy.interval in
   (* Reconcile: abort moves whose mover evidently died. *)
   List.iter
     (fun (lo, _, _, started) ->
@@ -287,7 +288,7 @@ let rebalance_tick t =
     for i = n - 1 downto 0 do
       if
         user_space i && (not (moving (fst ranges.(i))))
-        && (sizes.(i) > !Params.dd_split_bytes || bandwidth i > !Params.dd_split_bandwidth)
+        && (sizes.(i) > th.split_bytes || bandwidth i > th.split_bandwidth)
       then candidate := Some i
     done;
     match !candidate with
@@ -320,8 +321,8 @@ let rebalance_tick t =
         && List.sort compare teams.(i) = List.sort compare teams.(i + 1)
         && (not (moving (fst ranges.(i))))
         && (not (moving (fst ranges.(i + 1))))
-        && sizes.(i) < !Params.dd_merge_bytes
-        && sizes.(i + 1) < !Params.dd_merge_bytes
+        && sizes.(i) < th.merge_bytes
+        && sizes.(i + 1) < th.merge_bytes
         && traffic.(i) + traffic.(i + 1) = 0
       then candidate := Some i
     done;
@@ -334,7 +335,7 @@ let rebalance_tick t =
             Trace.emit "dd_shard_merged" [ ("lo", String.escaped (fst ranges.(i))) ]
         | Error _ -> ())
   end;
-  (* Move: when the hottest server carries dd_imbalance_ratio x the coldest
+  (* Move: when the hottest server carries imbalance_ratio x the coldest
      server's load, swap it out of its hottest shard's team for the coldest
      server (single-replica swap: only the newcomer fetches). *)
   let n_ss = Array.length t.ctx.Context.storage_eps in
@@ -350,7 +351,7 @@ let rebalance_tick t =
   if
     Shard_map.pending_moves map = []
     && float_of_int load.(!hot)
-       > !Params.dd_imbalance_ratio *. float_of_int (max load.(!cold) 1)
+       > th.imbalance_ratio *. float_of_int (max load.(!cold) 1)
     && load.(!hot) > 0
   then begin
     (* Hottest user-space shard served by the hot server whose team lacks
@@ -390,15 +391,16 @@ let rebalance_loop t =
   let rec loop () =
     if not t.running then Future.return ()
     else
-      let* () = Engine.sleep !Params.dd_rebalance_interval in
+      let* () = Engine.sleep t.ctx.Context.dd_policy.interval in
       let* () =
-        if !Params.dd_movement_enabled then
-          Future.catch
-            (fun () -> rebalance_tick t)
-            (fun exn ->
-              Trace.emit "dd_rebalance_error" [ ("exn", Printexc.to_string exn) ];
-              Future.return ())
-        else Future.return ()
+        match t.ctx.Context.dd_policy.thresholds with
+        | Some th ->
+            Future.catch
+              (fun () -> rebalance_tick t th)
+              (fun exn ->
+                Trace.emit "dd_rebalance_error" [ ("exn", Printexc.to_string exn) ];
+                Future.return ())
+        | None -> Future.return ()
       in
       loop ()
   in

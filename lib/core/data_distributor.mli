@@ -3,8 +3,8 @@
 
     Watches every StorageServer and tracks per-team health (published as
     [unhealthy_teams] / [data_loss_risk] gauges on the metrics plane).
-    When [Params.dd_movement_enabled] is set it also rebalances: splits
-    shards whose size or traffic exceed the [Params.dd_*] thresholds
+    When the cluster's {!Context.dd_policy} carries thresholds it also
+    rebalances: splits shards whose size or traffic exceed them
     (split point = median-by-bytes from a team member), merges cold
     adjacent same-team shards (never below the deployment's initial shard
     count), and moves shards off the hottest server with the

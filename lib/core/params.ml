@@ -10,6 +10,7 @@
    fixed per-batch overheads (sequencer request, proxy batch, log push) stay
    unscaled so that batching amortization and the "singletons are not
    bottlenecks" property (§2.3.3) survive scaling. *)
+(* fdb-lint: allow R7 -- the one global knob: perfbench/fdb_perf.ml writes it *)
 let cpu_scale = ref 1.0
 let cpu base = base *. !cpu_scale
 
@@ -27,9 +28,7 @@ let storage_per_apply = 2e-6
 let storage_per_apply_byte = 4e-9
 
 let grv_batch_interval = 5e-4
-let commit_batch_interval = ref 1e-3
-let max_commit_batch = ref 512
-let proxy_commit_pipeline_depth = ref 4
+let commit_batch_interval = 1e-3
 (* Storage servers pull their tag from the logs with long-poll peeks: a
    log server holds a peek until its received version reaches the peek's
    from-version, or for at most [log_peek_poll_timeout] — well inside the
@@ -53,7 +52,7 @@ let client_read_timeout = 0.6
    from that version. The poll window must sit comfortably inside the MVCC
    window (default 5 s) so a re-registration version never falls below
    [Version_window.oldest] on a healthy server. *)
-let watch_poll_timeout = ref 2.0
+let watch_poll_timeout = 2.0
 
 (* Range-read pipeline (client -> storage). A wide range read fans out
    per-shard sub-reads concurrently; each round-trip carries a row AND a
@@ -61,17 +60,8 @@ let watch_poll_timeout = ref 2.0
    drained by continuation round-trips. *)
 let client_range_fanout = 4
 let range_rows_per_batch = 256
-let range_bytes_per_req = ref 65_536
+let range_bytes_per_req = 65_536
 let range_bytes_want_all = 10_000_000
 
-(* Data distribution (paper §2.3.1, §2.5). Movement is off by default so
-   existing deterministic-run checksums are unchanged unless a run opts in;
-   the swarm and the rebalance bench flip it (and tighten the thresholds)
-   explicitly. Thresholds are bytes / bytes-per-second per shard. *)
-let dd_movement_enabled = ref false
-let dd_rebalance_interval = ref 1.0
-let dd_split_bytes = ref 250_000
-let dd_split_bandwidth = ref 1_000_000.0
-let dd_merge_bytes = ref 10_000
-let dd_imbalance_ratio = ref 3.0
+(* Data distribution (§2.3.1, §2.5): the policy is per-cluster, [Context.dd_policy]. *)
 let dd_move_timeout = 30.0 (* abort moves pending longer than this *)

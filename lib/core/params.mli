@@ -7,7 +7,8 @@
     seconds. *)
 
 val cpu_scale : float ref
-(** Global multiplier on every CPU service time (default 1.0). Benchmarks
+(** Global multiplier on every CPU service time (default 1.0), the one
+    configuration value held in a process-wide cell. Benchmarks
     raise it to run the paper's saturation experiments at a uniformly
     scaled-down op rate: shapes (scaling factors, saturation knees, who
     bottlenecks) are preserved while simulation cost drops by the same
@@ -39,19 +40,8 @@ val storage_per_apply_byte : float
 
 val grv_batch_interval : float
 
-val commit_batch_interval : float ref
-(** Mutable: the batching ablation bench sweeps it (§2.6). *)
-
-val max_commit_batch : int ref
-(** Mutable: the batching ablation sweeps it; 1 = no batching. *)
-
-val proxy_commit_pipeline_depth : int ref
-(** How many commit batches one proxy keeps in flight concurrently
-    (default 4). Batch N+1 fetches its own LSN and overlaps resolution and
-    log pushes with batch N's push/report; an in-order completion stage
-    keeps [Seq_report]s LSN-ordered and the proxy KCV monotone. 1 runs
-    the same pipeline one batch at a time. Mutable: benches sweep it;
-    tests pin it. *)
+val commit_batch_interval : float
+(** How long a proxy waits to fill a commit batch (§2.6); a full one flushes at once. *)
 
 val storage_peek_interval : float
 (** Failure backoff of a StorageServer's pull loop: the pause after a
@@ -79,12 +69,11 @@ val storage_read_wait : float
 val client_read_timeout : float
 (** Per-replica read attempt timeout before trying another replica. *)
 
-val watch_poll_timeout : float ref
+val watch_poll_timeout : float
 (** How long a StorageServer holds one watch registration before replying
     not-fired (the client re-registers from the server's reply version).
     Kept well under the MVCC window so re-registrations never go stale on
-    a healthy server. Mutable: chaos tests shrink it to force many
-    re-registration rounds. *)
+    a healthy server. *)
 
 (* {2 Range-read pipeline} *)
 
@@ -95,35 +84,13 @@ val client_range_fanout : int
 val range_rows_per_batch : int
 (** Row budget of one iterator-mode streaming batch. *)
 
-val range_bytes_per_req : int ref
-(** Byte budget of one storage round-trip in iterator mode. Mutable: tests
-    shrink it to force continuation stitching. *)
+val range_bytes_per_req : int
+(** Byte budget of one storage round-trip in iterator mode (64 KiB). *)
 
 val range_bytes_want_all : int
 (** Byte budget per round-trip for [`Want_all]/[`Exact] reads. *)
 
 (* {2 Data distribution} *)
-
-val dd_movement_enabled : bool ref
-(** Master switch for active data distribution (splits, merges, moves).
-    Default [false]: runs that do not opt in keep byte-identical schedules
-    and checksums. The swarm mover and the rebalance bench enable it. *)
-
-val dd_rebalance_interval : float ref
-(** How often the DataDistributor evaluates splits/merges/moves. *)
-
-val dd_split_bytes : int ref
-(** Split a shard whose persistent size exceeds this many bytes. *)
-
-val dd_split_bandwidth : float ref
-(** Split a shard whose read+write traffic exceeds this many bytes/s. *)
-
-val dd_merge_bytes : int ref
-(** Merge adjacent same-team shards when both are smaller than this. *)
-
-val dd_imbalance_ratio : float ref
-(** Move a shard off the hottest server when its load exceeds the coldest
-    server's load by this factor. *)
 
 val dd_move_timeout : float
 (** Abort in-flight moves pending longer than this (mover died mid-fetch). *)

@@ -308,7 +308,7 @@ let reply_batch promises verdicts reply =
 
 (* ---------- the commit pipeline (§2.4.1 LSN chaining) ----------
 
-   Up to [Params.proxy_commit_pipeline_depth] batches run concurrently.
+   Up to [Config.commit_pipeline_depth] batches run concurrently.
    Each fetches its own (lsn, prev) pair — gated on the previous batch's
    fetch, so LSNs follow launch order — then resolves and pushes without
    waiting for its predecessor; the Resolver's and LogServer's parked-batch
@@ -449,11 +449,11 @@ let rec commit_flush t =
     Fdb_obs.Registry.set_gauge t.obs_queue_depth 0.0;
     Future.return ()
   end
-  else if t.commit_inflight >= max 1 !Params.proxy_commit_pipeline_depth then
+  else if t.commit_inflight >= t.ctx.Context.config.Config.commit_pipeline_depth then
     (* Pipeline full: a completing batch re-runs the flush. *)
     Future.return ()
   else begin
-    let batch = dequeue_up_to t.commit_queue !Params.max_commit_batch in
+    let batch = dequeue_up_to t.commit_queue t.ctx.Context.config.Config.max_commit_batch in
     Fdb_obs.Registry.set_gauge t.obs_queue_depth
       (float_of_int (Queue.length t.commit_queue));
     let version_gate = t.chain_version and prev_done = t.chain_done in
@@ -480,7 +480,7 @@ let rec commit_flush t =
 let schedule_commit_flush t ~now =
   if not t.commit_flush_scheduled then begin
     t.commit_flush_scheduled <- true;
-    let delay = if now then 0.0 else !Params.commit_batch_interval in
+    let delay = if now then 0.0 else Params.commit_batch_interval in
     Engine.schedule ~after:delay ~process:t.proc (fun () ->
         Engine.spawn ~process:t.proc "proxy-commit-flush" (fun () -> commit_flush t))
   end
@@ -540,7 +540,7 @@ let handle t (msg : Message.t) : Message.t Future.t =
         Fdb_obs.Registry.set_gauge t.obs_queue_depth
           (float_of_int (Queue.length t.commit_queue));
         schedule_commit_flush t
-          ~now:(Queue.length t.commit_queue >= !Params.max_commit_batch);
+          ~now:(Queue.length t.commit_queue >= t.ctx.Context.config.Config.max_commit_batch);
         let t0 = Engine.now () in
         Future.map fut (fun reply ->
             (match reply with

@@ -11,7 +11,7 @@
     cannot complete this pipeline marks itself failed so the Sequencer's
     monitor ends the epoch.
 
-    Up to [Params.proxy_commit_pipeline_depth] batches are in flight
+    Up to [Config.commit_pipeline_depth] batches are in flight
     concurrently: each fetches its own [(lsn, prev)] pair (gated so LSNs
     follow launch order) and resolves/pushes without waiting for its
     predecessor — the §2.4.1 prev-chaining at Resolvers and LogServers

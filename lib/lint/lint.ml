@@ -12,9 +12,9 @@
    code's knowledge of it predates a yield point. See "the R5 pass"
    below. *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7
 
-let all_rules = [ R1; R2; R3; R4; R5; R6 ]
+let all_rules = [ R1; R2; R3; R4; R5; R6; R7 ]
 
 let rule_name = function
   | R1 -> "R1"
@@ -23,6 +23,7 @@ let rule_name = function
   | R4 -> "R4"
   | R5 -> "R5"
   | R6 -> "R6"
+  | R7 -> "R7"
 
 let rule_of_string = function
   | "R1" -> Some R1
@@ -31,6 +32,7 @@ let rule_of_string = function
   | "R4" -> Some R4
   | "R5" -> Some R5
   | "R6" -> Some R6
+  | "R7" -> Some R7
   | _ -> None
 
 let explain = function
@@ -86,6 +88,16 @@ let explain = function
        residue the static rule cannot see is caught at runtime:\n\
        fdb_sim swarm --check-leaks fails on promises still pending at\n\
        simulation end."
+  | R7 ->
+      "R7: no top-level mutable state in library code.\n\
+       A ref created when a module initialises is one cell shared by every\n\
+       simulation the process runs: a bench or test that sets it must\n\
+       restore it by hand, two seeds cannot run with different values, and\n\
+       a run stops being a function of its seed and configuration alone.\n\
+       Put a setting in Config.t, per-cluster state in Context.t, and a\n\
+       constant in a plain let. Flagged: a structure item, at any module\n\
+       depth, whose body applies ref outside a function. The per-run\n\
+       simulator globals are whitelisted until the engine owns them."
 
 type diagnostic = {
   d_file : string;
@@ -144,7 +156,7 @@ let applies rule path =
   | R1 -> path <> "lib/util/det_rng.ml"
   | R2 -> not (String.starts_with ~prefix:"lib/util/" path)
   | R3 -> true
-  | R4 -> String.starts_with ~prefix:"lib/" path
+  | R4 | R7 -> String.starts_with ~prefix:"lib/" path
   (* The actor model lives under lib/; drivers and benches run Engine.run
      at top level and own their futures explicitly. *)
   | R5 | R6 -> String.starts_with ~prefix:"lib/" path
@@ -806,6 +818,31 @@ let r5_pass violation (ast : Parsetree.structure) =
   let it = { default_iterator with expr } in
   it.structure it ast
 
+(* ---- the R7 pass: no top-level mutable state ----
+   Only code that runs at module initialisation matters: function bodies
+   make a fresh cell per call, so the walk stops at [fun]/[function]. *)
+
+let is_ref_ident (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_ident { txt; _ } -> (
+      match Longident.flatten txt with [ "ref" ] | [ "Stdlib"; "ref" ] -> true | _ -> false)
+  | _ -> false
+
+let r7_pass violation (ast : Parsetree.structure) =
+  let open Ast_iterator in
+  let expr self (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Pexp_fun _ | Pexp_function _ -> ()
+    | Pexp_apply (fn, _) when is_ref_ident fn ->
+        violation R7 e.pexp_loc
+          "top-level ref: one mutable cell shared by every run in the process; \
+           make it a constant, a Config.t field or per-cluster state";
+        default_iterator.expr self e
+    | _ -> default_iterator.expr self e
+  in
+  let it = { default_iterator with expr } in
+  it.structure it ast
+
 let parse ~path src =
   let lexbuf = Lexing.from_string src in
   Location.init lexbuf path;
@@ -856,7 +893,8 @@ let lint_source ?(whitelist = []) ?whitelist_used ~path src =
   | Error d -> diags := d :: !diags
   | Ok ast ->
       walk violation ast;
-      r5_pass violation ast);
+      r5_pass violation ast;
+      r7_pass violation ast);
   (* The stale-suppression audit: an allow comment that suppressed nothing
      is dead — and will silently cover whatever lands on that line next. *)
   List.iter

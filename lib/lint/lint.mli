@@ -27,13 +27,17 @@
       are flagged. Fire-and-forget goes through [Future.detach ~name];
       the runtime sanitizer ([fdb_sim swarm --check-leaks]) catches the
       residue.
+    - {b R7} no top-level mutable state ([lib/] only): a structure item, at
+      any module depth, whose body applies [ref] outside a function.
+      Configuration is a [Config.t] field, per-cluster state lives in
+      [Context.t].
 
     Per-line suppressions: [(* fdb-lint: allow R2 -- reason *)] on the
     violating line, or alone on the line above. The reason is mandatory;
     a suppression without one is itself a diagnostic — and so is a stale
     one that no longer suppresses anything (the stale-suppression audit). *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7
 
 val rule_name : rule -> string
 val rule_of_string : string -> rule option
@@ -75,7 +79,7 @@ val lint_source :
   diagnostic list
 (** [lint_source ~path src] lints source text [src] as if it lived at
     repo-relative [path] (which decides rule applicability: R2 is waived
-    under [lib/util/], R4/R5/R6 apply only under [lib/]). Diagnostics come
+    under [lib/util/], R4-R7 apply only under [lib/]). Diagnostics come
     back in (line, col) order. [whitelist_used] is invoked once per
     diagnostic a whitelist entry absorbs — the driver uses it for the
     stale-whitelist audit (an entry that absorbs nothing is an error). *)

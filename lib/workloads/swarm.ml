@@ -25,6 +25,7 @@ let random_config rng =
   let machines = 4 + Rng.int rng 5 in
   let replication = 2 + Rng.int rng 2 in
   {
+    Config.default with
     Config.machines;
     coordinators = min machines (if Rng.bool rng then 3 else 5);
     proxies = 1 + Rng.int rng 2;
@@ -33,13 +34,10 @@ let random_config rng =
     storage_per_machine = 1 + Rng.int rng 2;
     log_replication = replication;
     storage_replication = replication;
-    mvcc_window = 5.0;
     shards_per_storage = 1 + Rng.int rng 3;
     cc_candidates = min machines 3;
     racks = 1 + Rng.int rng machines;
     disks_per_machine = 4;
-    shard_boundaries = [];
-    regions = 1;
   }
 
 let random_faults rng duration =
@@ -63,31 +61,13 @@ let soup_keys = 50
 
 (* -------- shard movement under chaos -------------------------------- *)
 
-(* Aggressive DD thresholds for movement-enabled runs, restored afterwards
-   so other tests see the defaults. *)
-let with_dd_params ~enabled f =
-  if not enabled then f ()
-  else begin
-    let saved =
-      ( !Params.dd_movement_enabled, !Params.dd_rebalance_interval,
-        !Params.dd_split_bytes, !Params.dd_split_bandwidth,
-        !Params.dd_merge_bytes, !Params.dd_imbalance_ratio )
-    in
-    Params.dd_movement_enabled := true;
-    Params.dd_rebalance_interval := 0.5;
-    Params.dd_split_bytes := 4_000;
-    Params.dd_split_bandwidth := 50_000.0;
-    Params.dd_merge_bytes := 400;
-    Params.dd_imbalance_ratio := 1.5;
-    Fun.protect f ~finally:(fun () ->
-        let en, iv, sb, sbw, mb, ir = saved in
-        Params.dd_movement_enabled := en;
-        Params.dd_rebalance_interval := iv;
-        Params.dd_split_bytes := sb;
-        Params.dd_split_bandwidth := sbw;
-        Params.dd_merge_bytes := mb;
-        Params.dd_imbalance_ratio := ir)
-  end
+(* Aggressive DD policy for movement-enabled runs. *)
+let movement_policy =
+  let th =
+    { Context.split_bytes = 4_000; split_bandwidth = 50_000.0; merge_bytes = 400;
+      imbalance_ratio = 1.5 }
+  in
+  { Context.interval = 0.5; thresholds = Some th }
 
 let pick_team rng n k =
   let arr = Array.init n (fun i -> i) in
@@ -144,7 +124,7 @@ let mover_job cluster ~until ~rng =
    no longer flipping teams under it, and a pending move left behind would
    dual-tag writes forever. *)
 let quiesce_movement ctx =
-  Params.dd_movement_enabled := false;
+  Context.set_dd_policy ctx { ctx.Context.dd_policy with thresholds = None };
   let map = ctx.Context.shard_map in
   let rec wait n =
     match Shard_map.pending_moves map with
@@ -165,12 +145,12 @@ let quiesce_movement ctx =
 
 let run_one ?(buggify = true) ?(duration = 60.0) ?(dd_movement = false)
     ?(layers = false) ~seed () =
-  with_dd_params ~enabled:dd_movement @@ fun () ->
   let report =
     Engine.run ~seed ~max_time:3600.0 ~buggify (fun () ->
       let rng = Engine.fork_rng () in
       let config = random_config rng in
       let cluster = Cluster.create ~config () in
+      if dd_movement then Context.set_dd_policy (Cluster.context cluster) movement_policy;
       let* () = Cluster.wait_ready ~timeout:120.0 cluster in
       let db = Cluster.client cluster ~name:"swarm-setup" in
       let* () = Bank.setup db ~accounts ~initial:initial_balance in

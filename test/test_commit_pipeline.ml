@@ -19,23 +19,15 @@ open Fdb_sim
 open Fdb_core
 open Future.Syntax
 
-let with_params ~depth ~batch body =
-  let saved_depth = !Params.proxy_commit_pipeline_depth in
-  let saved_batch = !Params.max_commit_batch in
-  Params.proxy_commit_pipeline_depth := depth;
-  Params.max_commit_batch := batch;
-  Fun.protect
-    ~finally:(fun () ->
-      Params.proxy_commit_pipeline_depth := saved_depth;
-      Params.max_commit_batch := saved_batch)
-    body
-
 let with_cluster ?(seed = 11L) ?(buggify = false) ?(config = Config.test_small)
     body =
   Engine.run ~seed ~max_time:1e5 ~buggify (fun () ->
       let cluster = Cluster.create ~config () in
       let* () = Cluster.wait_ready cluster in
       body cluster)
+
+let pipelined ~depth ~batch =
+  { Config.test_small with Config.commit_pipeline_depth = depth; max_commit_batch = batch }
 
 (* ---------- outcomes against a serial-schedule model (qcheck) ---------- *)
 
@@ -56,53 +48,52 @@ let value v = Printf.sprintf "v%05d" v
    list (submission order) and the full final contents of the test
    keyspace. *)
 let run_workload ~depth ~seed (bursts : (int list) list) =
-  with_params ~depth ~batch:4 (fun () ->
-      with_cluster ~seed (fun cluster ->
-          let db = Cluster.client cluster ~name:"equiv" in
-          let burst_outcomes b ops =
-            let futs =
-              List.mapi
-                (fun i v ->
-                  let tx = Client.begin_tx db in
-                  Client.set tx (key b i) (value v);
-                  Future.catch
-                    (fun () ->
-                      let* (_ : Types.version) = Client.commit tx in
-                      Future.return Committed)
-                    (fun e -> Future.return (outcome_of_exn e)))
-                ops
-            in
-            Future.all futs
-          in
-          let rec go b acc = function
-            | [] -> Future.return (List.rev acc)
-            | ops :: rest ->
-                let* outs = burst_outcomes b ops in
-                go (b + 1) (outs :: acc) rest
-          in
-          let* burst_outs = go 0 [] bursts in
-          (* Conflict gadget. *)
-          let t1 = Client.begin_tx db in
-          let* (_ : string option) = Client.get t1 "cp/gadget" in
-          let t2 = Client.begin_tx db in
-          Client.set t2 "cp/gadget" "winner";
-          let* (_ : Types.version) = Client.commit t2 in
-          Client.set t1 "cp/gadget" "loser";
-          let* gadget =
-            Future.catch
-              (fun () ->
-                let* (_ : Types.version) = Client.commit t1 in
-                Future.return Committed)
-              (fun e -> Future.return (outcome_of_exn e))
-          in
-          (* Let storage drain the log, then read the final state back. *)
-          let* () = Engine.sleep 1.0 in
-          let* final =
-            Client.run db (fun tx ->
-                Client.range_all tx
-                  (Range_query.keys ~limit:10_000 ~from:"cp/" ~until:"cp0" ()))
-          in
-          Future.return (List.concat burst_outs @ [ gadget ], final)))
+  with_cluster ~seed ~config:(pipelined ~depth ~batch:4) (fun cluster ->
+      let db = Cluster.client cluster ~name:"equiv" in
+      let burst_outcomes b ops =
+        let futs =
+          List.mapi
+            (fun i v ->
+              let tx = Client.begin_tx db in
+              Client.set tx (key b i) (value v);
+              Future.catch
+                (fun () ->
+                  let* (_ : Types.version) = Client.commit tx in
+                  Future.return Committed)
+                (fun e -> Future.return (outcome_of_exn e)))
+            ops
+        in
+        Future.all futs
+      in
+      let rec go b acc = function
+        | [] -> Future.return (List.rev acc)
+        | ops :: rest ->
+            let* outs = burst_outcomes b ops in
+            go (b + 1) (outs :: acc) rest
+      in
+      let* burst_outs = go 0 [] bursts in
+      (* Conflict gadget. *)
+      let t1 = Client.begin_tx db in
+      let* (_ : string option) = Client.get t1 "cp/gadget" in
+      let t2 = Client.begin_tx db in
+      Client.set t2 "cp/gadget" "winner";
+      let* (_ : Types.version) = Client.commit t2 in
+      Client.set t1 "cp/gadget" "loser";
+      let* gadget =
+        Future.catch
+          (fun () ->
+            let* (_ : Types.version) = Client.commit t1 in
+            Future.return Committed)
+          (fun e -> Future.return (outcome_of_exn e))
+      in
+      (* Let storage drain the log, then read the final state back. *)
+      let* () = Engine.sleep 1.0 in
+      let* final =
+        Client.run db (fun tx ->
+            Client.range_all tx
+              (Range_query.keys ~limit:10_000 ~from:"cp/" ~until:"cp0" ()))
+      in
+      Future.return (List.concat burst_outs @ [ gadget ], final))
 
 let gen_bursts =
   QCheck.Gen.(
@@ -170,28 +161,27 @@ let test_buggify_reorder_keeps_order () =
      and keep the KCV monotone. Seed chosen so the slow-commit point
      actually fires. *)
   let replied, reports, done_lsns, done_kcvs, parked, slow_fired =
-    with_params ~depth:4 ~batch:4 (fun () ->
-        with_cluster ~seed:9L ~buggify:true (fun cluster ->
-            let db = Cluster.client cluster ~name:"reorder" in
-            let n = 120 in
-            let futs =
-              List.init n (fun i ->
-                  let tx = Client.begin_tx db in
-                  Client.set tx (Printf.sprintf "ro/%03d" i) (string_of_int i);
-                  Future.catch
-                    (fun () ->
-                      let* (_ : Types.version) = Client.commit tx in
-                      Future.return true)
-                    (fun _ -> Future.return true))
-            in
-            let* replies = Future.all futs in
-            Future.return
-              ( List.length (List.filter Fun.id replies),
-                trace_int64s "seq_report" "lsn",
-                trace_int64s "proxy_commit_done" "lsn",
-                trace_int64s "proxy_commit_done" "kcv",
-                Trace.count "resolver_park" + Trace.count "tlog_park",
-                List.mem "proxy_slow_commit" (Buggify.points_hit ()) )))
+    with_cluster ~seed:9L ~buggify:true ~config:(pipelined ~depth:4 ~batch:4) (fun cluster ->
+        let db = Cluster.client cluster ~name:"reorder" in
+        let n = 120 in
+        let futs =
+          List.init n (fun i ->
+              let tx = Client.begin_tx db in
+              Client.set tx (Printf.sprintf "ro/%03d" i) (string_of_int i);
+              Future.catch
+                (fun () ->
+                  let* (_ : Types.version) = Client.commit tx in
+                  Future.return true)
+                (fun _ -> Future.return true))
+        in
+        let* replies = Future.all futs in
+        Future.return
+          ( List.length (List.filter Fun.id replies),
+            trace_int64s "seq_report" "lsn",
+            trace_int64s "proxy_commit_done" "lsn",
+            trace_int64s "proxy_commit_done" "kcv",
+            Trace.count "resolver_park" + Trace.count "tlog_park",
+            List.mem "proxy_slow_commit" (Buggify.points_hit ()) ))
   in
   Alcotest.(check int) "every transaction got exactly one reply" 120 replied;
   Alcotest.(check bool) "slow-commit buggify point fired" true slow_fired;
@@ -223,46 +213,45 @@ let test_push_failure_fails_later_batches () =
      then only failures, at least one of them Commit_unknown_result
      (in-flight batches whose durability is undecided). *)
   let outcomes =
-    with_params ~depth:4 ~batch:2 (fun () ->
-        with_cluster ~seed:21L (fun cluster ->
-            let db = Cluster.client cluster ~name:"pushfail" in
-            (* A first committed marker proves the cluster worked. *)
-            let* (_ : Types.version) =
-              let tx = Client.begin_tx db in
-              Client.set tx "pf/marker" "1";
-              Client.commit tx
-            in
-            let outcomes : (int * outcome) list ref = ref [] in
-            let submit i =
-              let tx = Client.begin_tx db in
-              Client.set tx (Printf.sprintf "pf/%03d" i) (string_of_int i);
-              Future.catch
-                (fun () ->
-                  let* (_ : Types.version) = Client.commit tx in
-                  outcomes := (i, Committed) :: !outcomes;
-                  Future.return ())
-                (fun e ->
-                  outcomes := (i, outcome_of_exn e) :: !outcomes;
-                  Future.return ())
-            in
-            (* Steady drip of commits, one per half batch interval, so
-               batches form continuously; kill a log mid-stream. *)
-            let n = 60 in
-            let rec drip i acc =
-              if i = n then Future.return acc
-              else begin
-                if i = 20 then
-                  (match find_processes cluster "tlog" with
-                  | p :: _ -> Engine.kill p
-                  | [] -> Alcotest.fail "no tlog process found");
-                let f = submit i in
-                let* () = Engine.sleep (!Params.commit_batch_interval /. 2.0) in
-                drip (i + 1) (f :: acc)
-              end
-            in
-            let* futs = drip 0 [] in
-            let* () = Future.all_unit futs in
-            Future.return (List.rev !outcomes)))
+    with_cluster ~seed:21L ~config:(pipelined ~depth:4 ~batch:2) (fun cluster ->
+        let db = Cluster.client cluster ~name:"pushfail" in
+        (* A first committed marker proves the cluster worked. *)
+        let* (_ : Types.version) =
+          let tx = Client.begin_tx db in
+          Client.set tx "pf/marker" "1";
+          Client.commit tx
+        in
+        let outcomes : (int * outcome) list ref = ref [] in
+        let submit i =
+          let tx = Client.begin_tx db in
+          Client.set tx (Printf.sprintf "pf/%03d" i) (string_of_int i);
+          Future.catch
+            (fun () ->
+              let* (_ : Types.version) = Client.commit tx in
+              outcomes := (i, Committed) :: !outcomes;
+              Future.return ())
+            (fun e ->
+              outcomes := (i, outcome_of_exn e) :: !outcomes;
+              Future.return ())
+        in
+        (* Steady drip of commits, one per half batch interval, so
+           batches form continuously; kill a log mid-stream. *)
+        let n = 60 in
+        let rec drip i acc =
+          if i = n then Future.return acc
+          else begin
+            if i = 20 then
+              (match find_processes cluster "tlog" with
+              | p :: _ -> Engine.kill p
+              | [] -> Alcotest.fail "no tlog process found");
+            let f = submit i in
+            let* () = Engine.sleep (Params.commit_batch_interval /. 2.0) in
+            drip (i + 1) (f :: acc)
+          end
+        in
+        let* futs = drip 0 [] in
+        let* () = Future.all_unit futs in
+        Future.return (List.rev !outcomes))
   in
   (* Evaluate in submission order. *)
   let by_submission =
@@ -299,31 +288,30 @@ let test_push_failure_fails_later_batches () =
 
 let test_pipeline_metrics_registered () =
   let inflight, queue_depth, resolve_n, logpush_n, commit_n =
-    with_params ~depth:4 ~batch:8 (fun () ->
-        with_cluster ~seed:13L (fun cluster ->
-            let db = Cluster.client cluster ~name:"metrics" in
-            let* () =
-              Future.all_unit
-                (List.init 40 (fun i ->
-                     let tx = Client.begin_tx db in
-                     Client.set tx (Printf.sprintf "m/%02d" i) "x";
-                     let* (_ : Types.version) = Client.commit tx in
-                     Future.return ()))
-            in
-            let reg = (Cluster.context cluster).Context.metrics in
-            let module R = Fdb_obs.Registry in
-            let hist_count name =
-              List.fold_left
-                (fun acc (_, h) -> acc + Fdb_util.Histogram.count h)
-                0
-                (R.histograms reg ~role:R.Proxy name)
-            in
-            Future.return
-              ( R.gauges reg ~role:R.Proxy "commit_inflight_batches",
-                R.gauges reg ~role:R.Proxy "commit_queue_depth",
-                hist_count "commit_resolve_latency",
-                hist_count "commit_logpush_latency",
-                hist_count "commit_latency" )))
+    with_cluster ~seed:13L ~config:(pipelined ~depth:4 ~batch:8) (fun cluster ->
+        let db = Cluster.client cluster ~name:"metrics" in
+        let* () =
+          Future.all_unit
+            (List.init 40 (fun i ->
+                 let tx = Client.begin_tx db in
+                 Client.set tx (Printf.sprintf "m/%02d" i) "x";
+                 let* (_ : Types.version) = Client.commit tx in
+                 Future.return ()))
+        in
+        let reg = (Cluster.context cluster).Context.metrics in
+        let module R = Fdb_obs.Registry in
+        let hist_count name =
+          List.fold_left
+            (fun acc (_, h) -> acc + Fdb_util.Histogram.count h)
+            0
+            (R.histograms reg ~role:R.Proxy name)
+        in
+        Future.return
+          ( R.gauges reg ~role:R.Proxy "commit_inflight_batches",
+            R.gauges reg ~role:R.Proxy "commit_queue_depth",
+            hist_count "commit_resolve_latency",
+            hist_count "commit_logpush_latency",
+            hist_count "commit_latency" ))
   in
   Alcotest.(check bool) "commit_inflight_batches gauge registered" true
     (inflight <> []);

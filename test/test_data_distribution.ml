@@ -156,6 +156,58 @@ let test_cutover_atomicity () =
   Alcotest.(check int) "no read observed a half-moved shard" 0 bad_reads;
   Alcotest.(check bool) "destination serves after cutover" true team_changed
 
+(* ---------- switching movement off stops movement ---------- *)
+
+(* Movement on over a hot shard until it splits; then the setter turns it
+   off and, once a pass already under way has finished, the split and move
+   counters hold still through 5 more seconds of the same load. *)
+let test_movement_off_stops_movement () =
+  let off, final =
+    Engine.run ~seed:23L ~max_time:1e4 (fun () ->
+        let cluster = Cluster.create ~config:Config.test_small () in
+        let ctx = Cluster.context cluster in
+        let total name =
+          List.fold_left (fun acc (_, v) -> acc + v) 0
+            (Registry.counters (Cluster.metrics cluster) ~role:Registry.Data_distributor name)
+        in
+        let sample () = (total "shards_split", total "moves_committed") in
+        let th =
+          { Context.split_bytes = 4_000; split_bandwidth = 20_000.0; merge_bytes = 0;
+            imbalance_ratio = 1.5 }
+        in
+        Context.set_dd_policy ctx { Context.interval = 0.5; thresholds = Some th };
+        let* () = Cluster.wait_ready cluster in
+        let db = Cluster.client cluster ~name:"dd-hot" in
+        let stop = ref false in
+        let rec load i =
+          if !stop then Future.return ()
+          else
+            let* _ = Client.run db (fun tx ->
+                Client.set tx (Printf.sprintf "hot/%03d" (i mod 200)) (String.make 200 'x');
+                Future.return ()) in
+            load (i + 1)
+        in
+        let loader = load 0 in
+        let rec poll n ready =
+          if ready () || n = 0 then Future.return ()
+          else
+            let* () = Engine.sleep 0.5 in
+            poll (n - 1) ready
+        in
+        let* () = poll 120 (fun () -> total "shards_split" > 0) in
+        Context.set_dd_policy ctx { ctx.Context.dd_policy with thresholds = None };
+        let* () = Engine.sleep 2.0 in
+        let* () = poll 60 (fun () -> Shard_map.pending_moves ctx.Context.shard_map = []) in
+        let off = sample () in
+        let* () = Engine.sleep 5.0 in
+        stop := true;
+        let* () = loader in
+        Future.return (off, sample ()))
+  in
+  Alcotest.(check bool) (Printf.sprintf "movement split the hot shard (%d)" (fst off)) true
+    (fst off > 0);
+  Alcotest.(check (pair int int)) "no split or move after movement is off" off final
+
 (* ---------- move-during-everything swarm ---------- *)
 
 (* Bank, ring and the random-ops soup run under fault injection and
@@ -175,5 +227,6 @@ let suite =
     Alcotest.test_case "stale generation gets Wrong_shard" `Quick
       test_stale_generation_wrong_shard;
     Alcotest.test_case "cutover atomicity" `Quick test_cutover_atomicity;
+    Alcotest.test_case "movement off stops movement" `Quick test_movement_off_stops_movement;
     Alcotest.test_case "move during everything" `Slow test_move_during_everything;
   ]

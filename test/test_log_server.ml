@@ -16,6 +16,7 @@ let mini_ctx () =
     worker_eps = [||];
     storage_eps = [||];
     metrics = Fdb_obs.Registry.create ();
+    dd_policy = Context.idle_dd_policy;
   }
 
 let entry ~lsn ~prev ?(kcv = 0L) payload =

@@ -28,6 +28,7 @@ let () =
       ("layers", Test_layers.suite);
       ("crash-consistency", Test_crash_consistency.suite);
       ("types", Test_types.suite);
+      ("config", Test_config.suite);
       ("lint", Test_lint.suite);
       ("sanitizer", Test_sanitizer.suite);
       ("determinism", Test_determinism.suite);

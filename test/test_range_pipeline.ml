@@ -4,9 +4,8 @@
      a pure sorted-list model, on both the storage path (clean transaction)
      and the RYW path (buffered sets/clears in the transaction);
    - qcheck model test: continuation-stitched [Client.range] against a
-     reference assoc list, with the per-round-trip byte budget shrunk so a
-     single scan is forced through many stitched batches, RYW merge
-     included;
+     reference assoc list, over 8 KiB values so a single scan is forced
+     through many stitched 64 KiB batches, RYW merge included;
    - a failover scenario under buggified storage replies: reads must
      return identical data while replicas fail over transparently;
    - the shard-map-change regression: a range read straddling a
@@ -30,7 +29,7 @@ let with_cluster ?(seed = 11L) ?(buggify = false) ?(config = Config.test_small)
       let* () = Cluster.wait_ready cluster in
       body cluster)
 
-let populate db present =
+let populate ?(value = value) db present =
   let rec batches = function
     | [] -> Future.return ()
     | chunk ->
@@ -169,6 +168,9 @@ let stream_all ?(reverse = false) tx ~from ~until =
   in
   scan []
 
+(* 8 KiB values: a 64 KiB round-trip carries a handful of rows, forcing stitching. *)
+let big_value i = value i ^ String.make 8192 '.'
+
 let qcheck_stream_model =
   QCheck.Test.make
     ~name:"continuation-stitched stream matches reference (with RYW)" ~count:6
@@ -186,7 +188,7 @@ let qcheck_stream_model =
       let lo, hi = (key (min a b), key (max a b + 1)) in
       let model =
         let base =
-          List.fold_left (fun m i -> M.add (key i) (value i) m) M.empty present
+          List.fold_left (fun m i -> M.add (key i) (big_value i) m) M.empty present
         in
         List.fold_left
           (fun m i -> M.remove (key i) m)
@@ -196,46 +198,34 @@ let qcheck_stream_model =
         |> List.filter (fun (k, _) -> lo <= k && k < hi)
       in
       let model = if reverse then List.rev model else model in
-      (* A tiny per-round-trip byte budget forces the scan through many
-         stitched batches. *)
-      let saved = !Params.range_bytes_per_req in
-      Params.range_bytes_per_req := 48;
-      Fun.protect
-        ~finally:(fun () -> Params.range_bytes_per_req := saved)
-        (fun () ->
-          with_cluster (fun cluster ->
-              let db = Cluster.client cluster ~name:"stream" in
-              let* () = populate db present in
-              Client.run db (fun tx ->
-                  List.iter (fun i -> Client.set tx (key i) "buffered") sets;
-                  List.iter (fun i -> Client.clear tx (key i)) clears;
-                  let* rows, _batches = stream_all ~reverse tx ~from:lo ~until:hi in
-                  if rows = model then Future.return true
-                  else begin
-                    Printf.printf
-                      "stream [%S,%S) reverse=%b: got %d rows, model %d\n" lo hi
-                      reverse (List.length rows) (List.length model);
-                    Future.return false
-                  end))))
+      with_cluster (fun cluster ->
+          let db = Cluster.client cluster ~name:"stream" in
+          let* () = populate ~value:big_value db present in
+          Client.run db (fun tx ->
+              List.iter (fun i -> Client.set tx (key i) "buffered") sets;
+              List.iter (fun i -> Client.clear tx (key i)) clears;
+              let* rows, _batches = stream_all ~reverse tx ~from:lo ~until:hi in
+              if rows = model then Future.return true
+              else begin
+                Printf.printf
+                  "stream [%S,%S) reverse=%b: got %d rows, model %d\n" lo hi
+                  reverse (List.length rows) (List.length model);
+                Future.return false
+              end)))
 
 let test_stream_stitches_batches () =
-  (* Deterministic check that the tiny budget really splits the scan. *)
-  let saved = !Params.range_bytes_per_req in
-  Params.range_bytes_per_req := 48;
-  Fun.protect
-    ~finally:(fun () -> Params.range_bytes_per_req := saved)
-    (fun () ->
-      let rows, batches =
-        with_cluster (fun cluster ->
-            let db = Cluster.client cluster ~name:"stitch" in
-            let present = List.init 40 Fun.id in
-            let* () = populate db present in
-            Client.run db (fun tx -> stream_all tx ~from:"rp/" ~until:"rp0"))
-      in
-      Alcotest.(check int) "all rows" 40 (List.length rows);
-      Alcotest.(check bool)
-        (Printf.sprintf "scan was stitched from several batches (%d)" batches)
-        true (batches > 3))
+  (* Deterministic check that the byte budget really splits the scan. *)
+  let rows, batches =
+    with_cluster (fun cluster ->
+        let db = Cluster.client cluster ~name:"stitch" in
+        let present = List.init 40 Fun.id in
+        let* () = populate ~value:big_value db present in
+        Client.run db (fun tx -> stream_all tx ~from:"rp/" ~until:"rp0"))
+  in
+  Alcotest.(check int) "all rows" 40 (List.length rows);
+  Alcotest.(check bool)
+    (Printf.sprintf "scan was stitched from several batches (%d)" batches)
+    true (batches > 3)
 
 (* ---------- failover under buggified storage replies ---------- *)
 

@@ -15,6 +15,7 @@ let mini_ctx () =
     worker_eps = [||];
     storage_eps = [||];
     metrics = Fdb_obs.Registry.create ();
+    dd_policy = Context.idle_dd_policy;
   }
 
 let setup ?(range = ("", Types.system_key_space_end)) () =
