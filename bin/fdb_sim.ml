@@ -5,7 +5,8 @@
    report (and optionally the trace) and reproduces bit-identically.
 
      dune exec bin/fdb_sim.exe -- swarm --seeds 20
-     dune exec bin/fdb_sim.exe -- run --seed 101 --duration 60 --trace *)
+     dune exec bin/fdb_sim.exe -- run --seed 101 --duration 60 --trace
+     dune exec bin/fdb_sim.exe -- run --seed 3 --wall-profile *)
 
 open Cmdliner
 
@@ -137,18 +138,30 @@ let run_cmd =
       value & flag
       & info [ "check-leaks" ] ~doc:"Fail on leaked promises at simulation end.")
   in
-  let action seed duration trace no_buggify dd_movement layers check_leaks =
-    if
-      not
-        (run_seed ~buggify:(not no_buggify) ~duration ~dd_movement ~layers ~trace
-           ~check_leaks (Int64.of_int seed))
-    then exit 1
+  let wall_profile =
+    Arg.(
+      value & flag
+      & info [ "wall-profile" ]
+          ~doc:
+            "Sample the OCaml call stack every millisecond of CPU time and \
+             print the top self frames and the share per innermost \
+             Fdb_core/Fdb_kv module. The sampler never feeds the \
+             simulation, so the seed's checksum is unchanged.")
+  in
+  let action seed duration trace no_buggify dd_movement layers check_leaks wall_profile =
+    let profile = if wall_profile then Some (Wall_profile.start ()) else None in
+    let ok =
+      run_seed ~buggify:(not no_buggify) ~duration ~dd_movement ~layers ~trace ~check_leaks
+        (Int64.of_int seed)
+    in
+    Option.iter Wall_profile.stop profile;
+    if not ok then exit 1
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run (or replay) a single seeded simulation.")
     Term.(
       const action $ seed $ duration $ trace $ no_buggify $ dd_movement $ layers
-      $ check_leaks)
+      $ check_leaks $ wall_profile)
 
 let status_cmd =
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed.") in

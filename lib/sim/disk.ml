@@ -1,7 +1,11 @@
 module Rng = Fdb_util.Det_rng
 module Det_tbl = Fdb_util.Det_tbl
 
-type file = { mutable records : string list (* reversed *); mutable durable : int }
+type file = {
+  mutable records : string list; (* newest first *)
+  mutable count : int; (* List.length records, kept so sync is O(1) *)
+  mutable durable : int;
+}
 
 type t = {
   name : string;
@@ -36,21 +40,22 @@ let get_file t name =
   match Det_tbl.find_opt t.files name with
   | Some f -> f
   | None ->
-      let f = { records = []; durable = 0 } in
+      let f = { records = []; count = 0; durable = 0 } in
       Det_tbl.add t.files name f;
       f
 
 let append t name record =
   let f = get_file t name in
   f.records <- record :: f.records;
+  f.count <- f.count + 1;
   t.written <- t.written +. float_of_int (String.length record);
   disk_op t (t.seek +. (float_of_int (String.length record) /. t.bytes_per_sec))
 
 let sync t name =
   let f = get_file t name in
-  let n = List.length f.records in
+  let n = f.count in
   Future.bind (disk_op t t.sync_latency) (fun () ->
-      (* Only what was buffered when sync was issued is made durable. *)
+      (* fdb-lint: allow R5 -- deliberate snapshot: only what was buffered when sync was issued is made durable *)
       if n > f.durable then f.durable <- n;
       Future.return ())
 
@@ -64,6 +69,7 @@ let read_all t name =
 let write_file t name contents =
   let f = get_file t name in
   f.records <- [ contents ];
+  f.count <- 1;
   f.durable <- 0;
   t.written <- t.written +. float_of_int (String.length contents);
   disk_op t (t.seek +. (float_of_int (String.length contents) /. t.bytes_per_sec))
@@ -103,20 +109,27 @@ let crash t =
         else keep
       in
       f.records <- List.rev survivors;
-      f.durable <- min f.durable (List.length survivors))
+      f.count <- List.length survivors;
+      f.durable <- min f.durable f.count)
     t.files
 
 let attach t p = Process.on_reboot p (fun () -> crash t)
 
 let bytes_written t = t.written
 
+let record_count t name =
+  match Det_tbl.find_opt t.files name with None -> 0 | Some f -> f.count
+
+let durable_count t name =
+  match Det_tbl.find_opt t.files name with None -> 0 | Some f -> f.durable
+
 let drop_prefix t name n =
   match Det_tbl.find_opt t.files name with
   | None -> ()
   | Some f ->
-      let total = List.length f.records in
-      let n = min n total in
-      (* records is newest-first: keep the newest (total - n). *)
+      let n = min n f.count in
+      (* records is newest-first: keep the newest (count - n). *)
       let rec take k l = if k = 0 then [] else match l with [] -> [] | x :: tl -> x :: take (k - 1) tl in
-      f.records <- take (total - n) f.records;
+      f.records <- take (f.count - n) f.records;
+      f.count <- f.count - n;
       f.durable <- max 0 (f.durable - n)

@@ -34,7 +34,8 @@ val append : t -> string -> string -> unit Future.t
     immediately, durable only after {!sync}). *)
 
 val sync : t -> string -> unit Future.t
-(** Make all buffered records of the file durable. *)
+(** Make durable every record the file held when the sync was issued;
+    records appended while it is in flight wait for the next sync. *)
 
 val read_all : t -> string -> string list Future.t
 (** All currently visible records of the file, in append order ([[]] if the
@@ -53,6 +54,14 @@ val crash : t -> unit
 
 val bytes_written : t -> float
 (** Total bytes appended (diagnostics / utilization). *)
+
+val record_count : t -> string -> int
+(** Number of visible records of the file ([0] if it does not exist): the
+    length {!read_all} would return, in O(1) and without I/O. *)
+
+val durable_count : t -> string -> int
+(** How many of the file's oldest records are durable ([0] if it does not
+    exist); no I/O. *)
 
 val drop_prefix : t -> string -> int -> unit
 (** [drop_prefix d file n] discards the oldest [n] records of the file

@@ -9,23 +9,60 @@ type task = {
   t_seq : int;
   t_owner : (Process.t * int) option; (* process, incarnation at schedule time *)
   mutable t_run : unit -> unit;
-  mutable t_queued : bool; (* still in the heap and not cancelled *)
+  mutable t_pos : int; (* index in the heap array; -1 once popped or cancelled *)
 }
 
 type timer = task
 
 let noop () = ()
 
-(* Binary min-heap on (time, seq). seq breaks ties FIFO, which is what makes
-   the whole simulation deterministic. *)
+(* Indexed binary min-heap on (time, seq). seq breaks ties FIFO, which is
+   what makes the whole simulation deterministic. Every task records its
+   own slot, so a cancelled task is taken out at once in O(log n) and the
+   heap holds only live tasks. *)
 module Heap = struct
   type t = { mutable arr : task array; mutable len : int }
 
-  let dummy = { t_time = 0.0; t_seq = 0; t_owner = None; t_run = noop; t_queued = false }
+  let dummy = { t_time = 0.0; t_seq = 0; t_owner = None; t_run = noop; t_pos = -1 }
 
   let create () = { arr = Array.make 1024 dummy; len = 0 }
 
   let less a b = a.t_time < b.t_time || (a.t_time = b.t_time && a.t_seq < b.t_seq)
+
+  (* Settle [x] into the hole at [i], moving larger ancestors down. *)
+  let sift_up h i x =
+    let arr = h.arr in
+    let i = ref i in
+    while !i > 0 && less x arr.((!i - 1) / 2) do
+      let parent = (!i - 1) / 2 in
+      let p = arr.(parent) in
+      arr.(!i) <- p;
+      p.t_pos <- !i;
+      i := parent
+    done;
+    arr.(!i) <- x;
+    x.t_pos <- !i
+
+  (* Settle [x] into the hole at [i], moving smaller children up. *)
+  let sift_down h i x =
+    let arr = h.arr and len = h.len in
+    let i = ref i and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= len then continue := false
+      else begin
+        let c = if l + 1 < len && less arr.(l + 1) arr.(l) then l + 1 else l in
+        let child = arr.(c) in
+        if less child x then begin
+          arr.(!i) <- child;
+          child.t_pos <- !i;
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    arr.(!i) <- x;
+    x.t_pos <- !i
 
   let push h x =
     if h.len = Array.length h.arr then begin
@@ -33,47 +70,31 @@ module Heap = struct
       Array.blit h.arr 0 arr' 0 h.len;
       h.arr <- arr'
     end;
-    let i = ref h.len in
     h.len <- h.len + 1;
-    h.arr.(!i) <- x;
-    (* sift up *)
-    let continue = ref true in
-    while !continue && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      if less h.arr.(!i) h.arr.(parent) then begin
-        let tmp = h.arr.(parent) in
-        h.arr.(parent) <- h.arr.(!i);
-        h.arr.(!i) <- tmp;
-        i := parent
-      end
-      else continue := false
-    done
+    sift_up h (h.len - 1) x
 
+  (* Take out the task at slot [i]: the last task fills the hole and moves
+     up or down from there. *)
+  let remove_at h i =
+    h.arr.(i).t_pos <- -1;
+    let last = h.len - 1 in
+    let x = h.arr.(last) in
+    h.arr.(last) <- dummy;
+    h.len <- last;
+    if i < last then
+      if i > 0 && less x h.arr.((i - 1) / 2) then sift_up h i x else sift_down h i x
+
+  (* The earliest task; the heap must not be empty. *)
   let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = h.arr.(0) in
-      h.len <- h.len - 1;
-      h.arr.(0) <- h.arr.(h.len);
-      h.arr.(h.len) <- dummy;
-      (* sift down *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && less h.arr.(l) h.arr.(!smallest) then smallest := l;
-        if r < h.len && less h.arr.(r) h.arr.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = h.arr.(!smallest) in
-          h.arr.(!smallest) <- h.arr.(!i);
-          h.arr.(!i) <- tmp;
-          i := !smallest
-        end
-        else continue := false
-      done;
-      Some top
-    end
+    let top = h.arr.(0) in
+    remove_at h 0;
+    top
+
+  (* [task] is in this heap: a handle kept from an earlier run may carry a
+     slot index that is in range here but holds another task. *)
+  let holds h task =
+    let i = task.t_pos in
+    i >= 0 && i < h.len && h.arr.(i) == task
 end
 
 type engine = {
@@ -84,7 +105,6 @@ type engine = {
   mutable proc_ctx : Process.t option;
   mutable buggify : bool;
   mutable csum : int64; (* running FNV-1a over executed events *)
-  mutable cancelled : int; (* cancelled tasks still sitting in the heap *)
   mutable executed : int; (* tasks dispatched to a live owner and run *)
 }
 
@@ -128,9 +148,7 @@ let trace_checksum () = (get ()).csum
 let last_run_checksum () = !last_checksum
 let last_run_lifecycle () = !last_lifecycle
 let buggify_enabled () = match !current with Some e -> e.buggify | None -> false
-let pending_tasks () =
-  let e = get () in
-  e.heap.Heap.len - e.cancelled
+let pending_tasks () = (get ()).heap.Heap.len
 
 let events_executed () = (get ()).executed
 
@@ -147,22 +165,22 @@ let schedule_timer ?(after = 0.0) ?process f =
   e.seq <- e.seq + 1;
   let after = if after < 0.0 then 0.0 else after in
   let task =
-    { t_time = e.clock +. after; t_seq = e.seq; t_owner = owner; t_run = f; t_queued = true }
+    { t_time = e.clock +. after; t_seq = e.seq; t_owner = owner; t_run = f; t_pos = -1 }
   in
   Heap.push e.heap task;
   task
 
 let schedule ?after ?process f = ignore (schedule_timer ?after ?process f : timer)
 
-(* A cancelled task stays in the heap (removal from the middle of a binary
-   heap is not worth it) but drops its closure, so whatever the closure
-   captured is collectable now rather than when its time comes. *)
+(* A cancelled task leaves the heap at once, so the heap holds only live
+   tasks and a dead timer costs neither a pop nor a sift. Its closure is
+   dropped too, so whatever it captured is collectable now. A handle kept
+   from a finished run is not in the current heap and touches nothing. *)
 let cancel task =
-  if task.t_queued then begin
-    task.t_queued <- false;
-    task.t_run <- noop;
-    match !current with Some e -> e.cancelled <- e.cancelled + 1 | None -> ()
-  end
+  task.t_run <- noop;
+  match !current with
+  | Some e when Heap.holds e.heap task -> Heap.remove_at e.heap task.t_pos
+  | _ -> ()
 
 let with_process p f =
   let e = get () in
@@ -260,7 +278,6 @@ let run ?(seed = 1L) ?(max_time = 1e7) ?(buggify = false) f =
       proc_ctx = None;
       buggify;
       csum = fnv1a_int64 fnv_offset seed;
-      cancelled = 0;
       executed = 0;
     }
   in
@@ -293,44 +310,35 @@ let run ?(seed = 1L) ?(max_time = 1e7) ?(buggify = false) f =
     let rec loop () =
       match !result with
       | Some r -> r
-      | None -> (
-          match Heap.pop e.heap with
-          | None -> raise Deadlock
-          | Some task when not task.t_queued ->
-              (* Cancelled: not run, not folded, and time does not move. *)
-              e.cancelled <- e.cancelled - 1;
-              loop ()
-          | Some task ->
-              task.t_queued <- false;
-              if task.t_time > max_time then
-                failwith
-                  (Printf.sprintf "Engine.run: exceeded max_time %.0fs" max_time);
-              if task.t_time > e.clock then e.clock <- task.t_time;
-              let live =
-                match task.t_owner with
-                | None -> true
-                | Some (p, inc) -> Process.is_live p inc
-              in
-              if live then begin
-                let pid =
-                  match task.t_owner with Some (p, _) -> p.Process.pid | None -> -1
-                in
-                e.csum <-
-                  fnv1a_int64
-                    (fnv1a_int64
-                       (fnv1a_int64 e.csum (Int64.bits_of_float task.t_time))
-                       (Int64.of_int pid))
-                    (Int64.of_int task.t_seq);
-                e.executed <- e.executed + 1;
-                let saved = e.proc_ctx in
-                e.proc_ctx <- (match task.t_owner with Some (p, _) -> Some p | None -> None);
-                (try task.t_run ()
-                 with exn ->
-                   e.proc_ctx <- saved;
-                   raise exn);
-                e.proc_ctx <- saved
-              end;
-              loop ())
+      | None ->
+          if e.heap.Heap.len = 0 then raise Deadlock;
+          let task = Heap.pop e.heap in
+          if task.t_time > max_time then
+            failwith (Printf.sprintf "Engine.run: exceeded max_time %.0fs" max_time);
+          if task.t_time > e.clock then e.clock <- task.t_time;
+          let live =
+            match task.t_owner with
+            | None -> true
+            | Some (p, inc) -> Process.is_live p inc
+          in
+          if live then begin
+            let pid = match task.t_owner with Some (p, _) -> p.Process.pid | None -> -1 in
+            e.csum <-
+              fnv1a_int64
+                (fnv1a_int64
+                   (fnv1a_int64 e.csum (Int64.bits_of_float task.t_time))
+                   (Int64.of_int pid))
+                (Int64.of_int task.t_seq);
+            e.executed <- e.executed + 1;
+            let saved = e.proc_ctx in
+            e.proc_ctx <- (match task.t_owner with Some (p, _) -> Some p | None -> None);
+            (try task.t_run ()
+             with exn ->
+               e.proc_ctx <- saved;
+               raise exn);
+            e.proc_ctx <- saved
+          end;
+          loop ()
     in
     loop ()
   with

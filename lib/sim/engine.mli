@@ -39,10 +39,12 @@ val schedule_timer : ?after:float -> ?process:Process.t -> (unit -> unit) -> tim
 (** {!schedule}, returning a handle for {!cancel}. *)
 
 val cancel : timer -> unit
-(** Withdraw a task that has not run yet: it is popped without running,
-    is not folded into {!trace_checksum}, does not advance the clock, and
-    its closure is released at once. No-op on a task that already ran or
-    was already cancelled. *)
+(** Withdraw a task that has not run yet: it leaves the event queue at
+    once (O(log n)), so it never runs, is not folded into
+    {!trace_checksum}, does not advance the clock, and stops counting in
+    {!pending_tasks}; its closure is released at once. No-op on a task
+    that already ran or was already cancelled, and on a handle kept from
+    an earlier {!run}. *)
 
 val sleep : float -> unit Future.t
 (** Resolve after the given virtual delay. Never resolves if the owning
@@ -95,8 +97,8 @@ val is_running : unit -> bool
     non-simulated behaviour outside a run, e.g. in bechamel microbenches). *)
 
 val pending_tasks : unit -> int
-(** Number of queued events that will still run, cancelled timers
-    excluded (diagnostics). *)
+(** Number of queued events (diagnostics). The queue holds only tasks
+    that were not cancelled. *)
 
 val events_executed : unit -> int
 (** Tasks run so far in the current run: dispatched to a live owner (or

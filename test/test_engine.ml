@@ -225,6 +225,176 @@ let test_buggify_fires_when_enabled () =
   done;
   Alcotest.(check bool) "fires under some seed" true !fired_any
 
+(* ---------- the indexed heap against a sorted reference model ----------
+
+   One op program is interpreted twice: on the engine, and on a reference
+   scheduler that keeps its queue as a plain list and always runs the
+   least (time, seq) task. The program schedules plain tasks and timers,
+   cancels handles (again, after they ran, and from inside running
+   tasks), and advances time by scheduling its own continuation. Both
+   runs must execute the same tasks at the same times in the same order,
+   and report the same number of pending tasks after every op. *)
+
+type heap_op =
+  | Sched of int (* Engine.schedule after d *)
+  | Timer of int (* Engine.schedule_timer after d; keeps the handle *)
+  | Cancel of int (* cancel handle k mod #handles *)
+  | Cancel_in_task of int * int (* a timer after d that cancels handle k when it runs *)
+  | Advance of int (* the program resumes d seconds later *)
+
+let pp_heap_op = function
+  | Sched d -> Printf.sprintf "Sched %d" d
+  | Timer d -> Printf.sprintf "Timer %d" d
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Cancel_in_task (d, k) -> Printf.sprintf "Cancel_in_task (%d, %d)" d k
+  | Advance d -> Printf.sprintf "Advance %d" d
+
+type 'h sched = {
+  now : unit -> float;
+  timer : float -> (unit -> unit) -> 'h;
+  fire : float -> (unit -> unit) -> unit;
+  cancel : 'h -> unit;
+  pending : unit -> int;
+}
+
+(* Runs [ops] on [s]; returns the (time, id) log of test tasks in run
+   order and the pending count after every op. [finish] runs once every
+   test task is due. *)
+let interpret s ops ~finish =
+  let log = ref [] and pendings = ref [] and next_id = ref 0 in
+  let handles = Hashtbl.create 16 in
+  let nth_handle k =
+    let n = Hashtbl.length handles in
+    if n = 0 then None else Hashtbl.find_opt handles (k mod n)
+  in
+  let task body =
+    let id = !next_id in
+    incr next_id;
+    fun () ->
+      log := (s.now (), id) :: !log;
+      body ()
+  in
+  let keep h = Hashtbl.replace handles (Hashtbl.length handles) h in
+  let rec drive = function
+    | [] -> s.fire 10.0 finish
+    | op :: rest -> (
+        (match op with
+        | Sched d -> s.fire (float d) (task ignore)
+        | Timer d -> keep (s.timer (float d) (task ignore))
+        | Cancel k -> Option.iter s.cancel (nth_handle k)
+        | Cancel_in_task (d, k) ->
+            keep (s.timer (float d) (task (fun () -> Option.iter s.cancel (nth_handle k))))
+        | Advance _ -> ());
+        pendings := s.pending () :: !pendings;
+        match op with Advance d -> s.fire (float d) (fun () -> drive rest) | _ -> drive rest)
+  in
+  drive ops;
+  (log, pendings)
+
+let engine_run ops =
+  let log, pendings =
+    Engine.run ~seed:5L (fun () ->
+        let fut, p = Future.make () in
+        let s =
+          {
+            now = Engine.now;
+            timer = (fun d f -> Engine.schedule_timer ~after:d f);
+            fire = (fun d f -> Engine.schedule ~after:d f);
+            cancel = Engine.cancel;
+            pending = Engine.pending_tasks;
+          }
+        in
+        let log, pendings = interpret s ops ~finish:(fun () -> Future.fulfill p ()) in
+        Future.map fut (fun () -> (log, pendings)))
+  in
+  (List.rev !log, List.rev !pendings)
+
+type model_task = { m_time : float; m_seq : int; m_run : unit -> unit }
+
+let model_run ops =
+  let clock = ref 0.0 and seq = ref 0 and queue = ref [] and finished = ref false in
+  let timer after f =
+    incr seq;
+    let t = { m_time = !clock +. after; m_seq = !seq; m_run = f } in
+    queue := t :: !queue;
+    t
+  in
+  let s =
+    {
+      now = (fun () -> !clock);
+      timer;
+      fire = (fun d f -> ignore (timer d f : model_task));
+      cancel = (fun t -> queue := List.filter (fun x -> x != t) !queue);
+      pending = (fun () -> List.length !queue);
+    }
+  in
+  let log, pendings = interpret s ops ~finish:(fun () -> finished := true) in
+  let before a b = a.m_time < b.m_time || (a.m_time = b.m_time && a.m_seq < b.m_seq) in
+  while not !finished do
+    let next =
+      List.fold_left (fun m t -> if before t m then t else m) (List.hd !queue) !queue
+    in
+    queue := List.filter (fun x -> x != next) !queue;
+    if next.m_time > !clock then clock := next.m_time;
+    next.m_run ()
+  done;
+  (List.rev !log, List.rev !pendings)
+
+let qcheck_heap_model =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun d -> Sched d) (int_range 0 5));
+          (4, map (fun d -> Timer d) (int_range 0 5));
+          (3, map (fun k -> Cancel k) (int_range 0 20));
+          (2, map2 (fun d k -> Cancel_in_task (d, k)) (int_range 0 5) (int_range 0 20));
+          (2, map (fun d -> Advance d) (int_range 0 3));
+        ])
+  in
+  QCheck.Test.make ~name:"indexed heap matches sorted reference model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_heap_op ops))
+       QCheck.Gen.(list_size (int_range 0 80) op_gen))
+    (fun ops ->
+      let ((log, pendings) as engine) = engine_run ops in
+      if engine <> model_run ops then QCheck.Test.fail_report "engine and model diverge";
+      (* The model's own order is (time, creation), and ids are creation order. *)
+      if List.sort compare log <> log then QCheck.Test.fail_report "log not in (time, seq) order";
+      List.length pendings = List.length ops)
+
+(* A handle kept from a finished run still records the heap slot it had
+   there. Cancelling it during a later run must not take out whichever of
+   the later run's tasks now sits in that slot. *)
+let test_stale_handle_cancel () =
+  let stale =
+    Engine.run ~seed:3L (fun () ->
+        let ran = Engine.schedule_timer ~after:0.5 ignore in
+        let unreached = List.init 16 (fun i -> Engine.schedule_timer ~after:(100.0 +. float i) ignore) in
+        let* () = Engine.sleep 1.0 in
+        Future.return (ran :: unreached))
+  in
+  let later ~cancel_stale =
+    let ran = ref 0 in
+    let before, after =
+      Engine.run ~seed:4L (fun () ->
+          for i = 0 to 31 do
+            Engine.schedule ~after:(float i) (fun () -> incr ran)
+          done;
+          let before = Engine.pending_tasks () in
+          if cancel_stale then List.iter Engine.cancel stale;
+          let after = Engine.pending_tasks () in
+          let* () = Engine.sleep 40.0 in
+          Future.return (before, after))
+    in
+    (before, after, !ran, Engine.last_run_checksum ())
+  in
+  let before, after, ran, csum = later ~cancel_stale:true in
+  Alcotest.(check int) "queue unchanged by stale cancels" before after;
+  Alcotest.(check int) "every later task ran" 32 ran;
+  let _, _, _, clean_csum = later ~cancel_stale:false in
+  Alcotest.(check int64) "checksum unchanged by stale cancels" clean_csum csum
+
 let suite =
   [
     Alcotest.test_case "time advances" `Quick test_time_advances;
@@ -235,6 +405,9 @@ let suite =
     Alcotest.test_case "timeout win" `Quick test_timeout_win;
     Alcotest.test_case "cancelled timer never runs" `Quick test_cancelled_timer_never_runs;
     Alcotest.test_case "timeout win cancels its timer" `Quick test_timeout_win_cancels_timer;
+    QCheck_alcotest.to_alcotest qcheck_heap_model;
+    Alcotest.test_case "stale handle cancel leaves a later run alone" `Quick
+      test_stale_handle_cancel;
     Alcotest.test_case "kill drops tasks" `Quick test_kill_drops_tasks;
     Alcotest.test_case "reboot boots and invalidates" `Quick test_reboot_runs_boot_and_invalidates;
     Alcotest.test_case "reboot hooks" `Quick test_reboot_hooks_run;
