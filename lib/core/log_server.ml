@@ -431,6 +431,26 @@ let handle t (msg : Message.t) : Message.t Future.t =
       Future.return Message.Ok_reply
   | _ -> Future.return (Message.Reject (Error.Internal "tlog: unexpected message"))
 
+(* The contiguous chain from [floor] through the WAL records above it, in
+   chain order. Records are indexed by predecessor once; where several
+   share one, the largest LSN wins (and a later record replaces an earlier
+   one with the same LSN). No LSN repeats in the walk: each link's LSN is
+   above [floor] and names one record. *)
+let chain_from ~floor (records : Message.log_entry list) =
+  let by_lsn : (Types.version, Message.log_entry) Det_tbl.t = Det_tbl.create ~size:1024 () in
+  List.iter
+    (fun (e : Message.log_entry) ->
+      if e.Message.le_lsn > floor then Det_tbl.replace by_lsn e.Message.le_lsn e)
+    records;
+  let by_prev = Hashtbl.create (Det_tbl.length by_lsn) in
+  Det_tbl.iter (fun _ (e : Message.log_entry) -> Hashtbl.replace by_prev e.Message.le_prev e) by_lsn;
+  let rec walk v acc =
+    match Hashtbl.find_opt by_prev v with
+    | Some (e : Message.log_entry) -> walk e.Message.le_lsn (e :: acc)
+    | None -> List.rev acc
+  in
+  walk floor []
+
 (* Rebuild from disk after a crash: keep the contiguous chain prefix (plus
    seeds, which sit below start_lsn); serve only recovery traffic. *)
 let resurrect ctx proc ~disk ~(meta : meta) =
@@ -494,35 +514,26 @@ let resurrect ctx proc ~disk ~(meta : meta) =
       records
   in
   (* Seeds (lsn <= start) and already-pruned-floor records are durable
-     history; chain records must form a contiguous prefix from the floor
-     (collected in a scratch table by LSN, not [t.pending], which holds
-     live parked pushes with reply promises). *)
-  let scratch : (Types.version, Message.log_entry) Det_tbl.t =
-    Det_tbl.create ~size:1024 ()
-  in
+     history; chain records must form a contiguous prefix from the floor. *)
   List.iter
     (fun (e : Message.log_entry) ->
       if e.Message.le_lsn <= floor && not (Det_tbl.mem t.entries e.Message.le_lsn)
       then begin
         Det_tbl.replace t.entries e.Message.le_lsn e;
         index_payload t e
-      end
-      else if e.Message.le_lsn > floor then
-        Det_tbl.replace scratch e.Message.le_lsn e)
+      end)
     parsed;
-  let rec chain v =
-    let candidates = Det_tbl.fold (fun lsn e acc -> if e.Message.le_prev = v then (lsn, e) :: acc else acc) scratch [] in
-    match candidates with
-    | (lsn, e) :: _ ->
-        Det_tbl.remove scratch lsn;
+  let dv =
+    List.fold_left
+      (fun v (e : Message.log_entry) ->
+        let lsn = e.Message.le_lsn in
         Det_tbl.replace t.entries lsn e;
         Hashtbl.replace t.next v lsn;
         index_payload t e;
         if e.Message.le_kcv > t.kcv then t.kcv <- e.Message.le_kcv;
-        chain lsn
-    | [] -> v
+        lsn)
+      floor (chain_from ~floor parsed)
   in
-  let dv = chain floor in
   t.dv <- dv;
   t.rcv <- dv;
   Fdb_obs.Registry.set_gauge t.obs_dv (Int64.to_float dv);

@@ -27,6 +27,14 @@ val create :
     endpoint, and installs a boot thunk that resurrects it from disk in
     stopped mode after a crash. *)
 
+val chain_from : floor:Types.version -> Message.log_entry list -> Message.log_entry list
+(** The records a resurrected server keeps from its WAL: the contiguous
+    chain starting at [floor] (the first record's [le_prev] is [floor],
+    each next one's is the previous LSN), in chain order. Records at or
+    below [floor] are ignored. Where several records name the same
+    predecessor, the one with the largest LSN is taken. Costs one sort of
+    the records, then one lookup per link. *)
+
 val durable_version : t -> Types.version
 val known_committed : t -> Types.version
 val is_stopped : t -> bool

@@ -90,14 +90,16 @@ let explain = function
        simulation end."
   | R7 ->
       "R7: no top-level mutable state in library code.\n\
-       A ref created when a module initialises is one cell shared by every\n\
-       simulation the process runs: a bench or test that sets it must\n\
-       restore it by hand, two seeds cannot run with different values, and\n\
-       a run stops being a function of its seed and configuration alone.\n\
-       Put a setting in Config.t, per-cluster state in Context.t, and a\n\
+       A ref or mutable container created when a module initialises is one\n\
+       value shared by every simulation the process runs: a bench or test\n\
+       that sets it must restore it by hand, two seeds cannot run with\n\
+       different values, a run stops being a function of its seed and\n\
+       configuration alone, and two domains cannot run seeds side by side.\n\
+       Put a setting in Config.t, per-cluster state in Context.t, per-run\n\
+       simulator state in Sim.t (Engine.run makes one per run), and a\n\
        constant in a plain let. Flagged: a structure item, at any module\n\
-       depth, whose body applies ref outside a function. The per-run\n\
-       simulator globals are whitelisted until the engine owns them."
+       depth, whose body applies ref, Hashtbl.create, Det_tbl.create,\n\
+       Array.make, Bytes.create or Buffer.create outside a function."
 
 type diagnostic = {
   d_file : string;
@@ -822,21 +824,33 @@ let r5_pass violation (ast : Parsetree.structure) =
    Only code that runs at module initialisation matters: function bodies
    make a fresh cell per call, so the walk stops at [fun]/[function]. *)
 
-let is_ref_ident (e : Parsetree.expression) =
+(* The constructors of mutable state R7 knows, matched on the last two
+   path components so [Stdlib.ref] and [Fdb_util.Det_tbl.create] count. *)
+let mutable_constructor (e : Parsetree.expression) =
   match e.pexp_desc with
   | Pexp_ident { txt; _ } -> (
-      match Longident.flatten txt with [ "ref" ] | [ "Stdlib"; "ref" ] -> true | _ -> false)
-  | _ -> false
+      match List.rev (Longident.flatten txt) with
+      | [ "ref" ] | [ "ref"; "Stdlib" ] -> Some ("ref", "cell")
+      | ("create" as f) :: (("Hashtbl" | "Det_tbl" | "Bytes" | "Buffer") as m) :: _
+      | ("make" as f) :: ("Array" as m) :: _ ->
+          Some (m ^ "." ^ f, "container")
+      | _ -> None)
+  | _ -> None
 
 let r7_pass violation (ast : Parsetree.structure) =
   let open Ast_iterator in
   let expr self (e : Parsetree.expression) =
     match e.pexp_desc with
     | Pexp_fun _ | Pexp_function _ -> ()
-    | Pexp_apply (fn, _) when is_ref_ident fn ->
-        violation R7 e.pexp_loc
-          "top-level ref: one mutable cell shared by every run in the process; \
-           make it a constant, a Config.t field or per-cluster state";
+    | Pexp_apply (fn, _) ->
+        Option.iter
+          (fun (what, noun) ->
+            violation R7 e.pexp_loc
+              (Printf.sprintf
+                 "top-level %s: one mutable %s shared by every run in the process; \
+                  make it a constant, a Config.t field or per-cluster state"
+                 what noun))
+          (mutable_constructor fn);
         default_iterator.expr self e
     | _ -> default_iterator.expr self e
   in

@@ -28,9 +28,10 @@
       the runtime sanitizer ([fdb_sim swarm --check-leaks]) catches the
       residue.
     - {b R7} no top-level mutable state ([lib/] only): a structure item, at
-      any module depth, whose body applies [ref] outside a function.
-      Configuration is a [Config.t] field, per-cluster state lives in
-      [Context.t].
+      any module depth, whose body applies [ref], [Hashtbl.create],
+      [Det_tbl.create], [Array.make], [Bytes.create] or [Buffer.create]
+      outside a function. Configuration is a [Config.t] field, per-cluster
+      state lives in [Context.t], per-run simulator state in [Sim.t].
 
     Per-line suppressions: [(* fdb-lint: allow R2 -- reason *)] on the
     violating line, or alone on the line above. The reason is mandatory;

@@ -52,7 +52,6 @@ type cell =
 type t = { enabled : bool; cells : (key, cell) Det_tbl.t }
 
 let create ?(enabled = true) () = { enabled; cells = Det_tbl.create ~size:256 () }
-let disabled = { enabled = false; cells = Det_tbl.create ~size:1 () }
 let is_enabled t = t.enabled
 let clear t = Det_tbl.reset t.cells
 

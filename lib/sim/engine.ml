@@ -4,12 +4,12 @@ exception Killed
 
 module Rng = Fdb_util.Det_rng
 
-type task = {
+type task = Sim.task = {
   t_time : float;
   t_seq : int;
-  t_owner : (Process.t * int) option; (* process, incarnation at schedule time *)
+  t_owner : (Process.t * int) option;
   mutable t_run : unit -> unit;
-  mutable t_pos : int; (* index in the heap array; -1 once popped or cancelled *)
+  mutable t_pos : int;
 }
 
 type timer = task
@@ -21,11 +21,9 @@ let noop () = ()
    own slot, so a cancelled task is taken out at once in O(log n) and the
    heap holds only live tasks. *)
 module Heap = struct
-  type t = { mutable arr : task array; mutable len : int }
+  type t = Sim.heap = { mutable arr : task array; mutable len : int }
 
   let dummy = { t_time = 0.0; t_seq = 0; t_owner = None; t_run = noop; t_pos = -1 }
-
-  let create () = { arr = Array.make 1024 dummy; len = 0 }
 
   let less a b = a.t_time < b.t_time || (a.t_time = b.t_time && a.t_seq < b.t_seq)
 
@@ -66,7 +64,7 @@ module Heap = struct
 
   let push h x =
     if h.len = Array.length h.arr then begin
-      let arr' = Array.make (2 * h.len) dummy in
+      let arr' = Array.make (max 1024 (2 * h.len)) dummy in
       Array.blit h.arr 0 arr' 0 h.len;
       h.arr <- arr'
     end;
@@ -97,70 +95,36 @@ module Heap = struct
     i >= 0 && i < h.len && h.arr.(i) == task
 end
 
-type engine = {
-  heap : Heap.t;
-  mutable clock : float;
-  mutable seq : int;
-  root_rng : Rng.t;
-  mutable proc_ctx : Process.t option;
-  mutable buggify : bool;
-  mutable csum : int64; (* running FNV-1a over executed events *)
-  mutable executed : int; (* tasks dispatched to a live owner and run *)
-}
-
-let current : engine option ref = ref None
-
-(* ---- trace checksum (paper §4's nondeterminism backstop) ----
-   Every executed event — each dispatched task's (time, pid, seq) and each
-   Trace event kind — is folded into a running FNV-1a64. Two runs of the
-   same seed must produce the same final checksum; any wall-clock read,
-   unseeded RNG draw, or unordered iteration shows up as a divergence. *)
-
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv1a_byte h b =
-  Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
-
-let fnv1a_int64 h v =
-  let h = ref h in
-  for i = 0 to 7 do
-    h := fnv1a_byte !h (Int64.to_int (Int64.shift_right_logical v (8 * i)))
-  done;
-  !h
-
-let fnv1a_string h s =
-  let h = ref h in
-  String.iter (fun c -> h := fnv1a_byte !h (Char.code c)) s;
-  !h
-
-let last_checksum = ref 0L
-let last_lifecycle = ref Future.Lifecycle.empty
-
+(* The running simulation's state (see [Sim]). *)
 let get () =
-  match !current with
-  | Some e -> e
-  | None -> failwith "Engine: no simulation running"
+  let s = Sim.get () in
+  if s.Sim.running then s else failwith "Engine: no simulation running"
 
-let is_running () = Option.is_some !current
-let now () = (get ()).clock
-let trace_checksum () = (get ()).csum
-let last_run_checksum () = !last_checksum
-let last_run_lifecycle () = !last_lifecycle
-let buggify_enabled () = match !current with Some e -> e.buggify | None -> false
-let pending_tasks () = (get ()).heap.Heap.len
+let is_running () = (Sim.get ()).Sim.running
+let now () = (get ()).Sim.clock
+let trace_checksum () = (get ()).Sim.csum
+let last_run_checksum () = (Sim.get ()).Sim.csum
 
-let events_executed () = (get ()).executed
+let last_run_lifecycle () =
+  let s = Sim.get () in
+  {
+    Future.Lifecycle.lr_created = s.Sim.lc_created;
+    lr_resolved = s.Sim.lc_resolved;
+    lr_leaked = s.Sim.lc_leaked;
+    lr_double_resolved = Fdb_util.Det_tbl.to_sorted_list s.Sim.lc_doubles;
+    lr_detach_failures = Fdb_util.Det_tbl.to_sorted_list s.Sim.lc_detach_failures;
+  }
+
+let pending_tasks () = (get ()).Sim.heap.len
+
+let events_executed () = (get ()).Sim.executed
 
 let schedule_timer ?(after = 0.0) ?process f =
   let e = get () in
   let owner =
-    match process with
+    match (match process with Some _ -> process | None -> e.proc_ctx) with
     | Some p -> Some (p, p.Process.incarnation)
-    | None -> (
-        match e.proc_ctx with
-        | Some p -> Some (p, p.Process.incarnation)
-        | None -> None)
+    | None -> None
   in
   e.seq <- e.seq + 1;
   let after = if after < 0.0 then 0.0 else after in
@@ -178,9 +142,8 @@ let schedule ?after ?process f = ignore (schedule_timer ?after ?process f : time
    from a finished run is not in the current heap and touches nothing. *)
 let cancel task =
   task.t_run <- noop;
-  match !current with
-  | Some e when Heap.holds e.heap task -> Heap.remove_at e.heap task.t_pos
-  | _ -> ()
+  let s = Sim.get () in
+  if Heap.holds s.Sim.heap task then Heap.remove_at s.Sim.heap task.t_pos
 
 let with_process p f =
   let e = get () in
@@ -266,88 +229,45 @@ let reboot p ?(delay = 0.5) () =
       end)
 
 let run ?(seed = 1L) ?(max_time = 1e7) ?(buggify = false) f =
-  (match !current with
-  | Some _ -> failwith "Engine.run: simulation already running"
-  | None -> ());
-  let e =
-    {
-      heap = Heap.create ();
-      clock = 0.0;
-      seq = 0;
-      root_rng = Rng.create seed;
-      proc_ctx = None;
-      buggify;
-      csum = fnv1a_int64 fnv_offset seed;
-      executed = 0;
-    }
+  if is_running () then failwith "Engine.run: simulation already running";
+  let e = Sim.create ~seed ~buggify in
+  e.running <- true;
+  Domain.DLS.set Sim.slot e;
+  Fun.protect ~finally:(fun () -> Sim.finish e) @@ fun () ->
+  let root = f () in
+  let result = ref None in
+  Future.on_resolve root (fun r -> result := Some r);
+  let rec loop () =
+    match !result with
+    | Some r -> r
+    | None ->
+        if e.heap.len = 0 then raise Deadlock;
+        let task = Heap.pop e.heap in
+        if task.t_time > max_time then
+          failwith (Printf.sprintf "Engine.run: exceeded max_time %.0fs" max_time);
+        if task.t_time > e.clock then e.clock <- task.t_time;
+        let live =
+          match task.t_owner with
+          | None -> true
+          | Some (p, inc) -> Process.is_live p inc
+        in
+        if live then begin
+          let pid = match task.t_owner with Some (p, _) -> p.Process.pid | None -> -1 in
+          e.csum <-
+            Sim.fnv1a_int64
+              (Sim.fnv1a_int64
+                 (Sim.fnv1a_int64 e.csum (Int64.bits_of_float task.t_time))
+                 (Int64.of_int pid))
+              (Int64.of_int task.t_seq);
+          e.executed <- e.executed + 1;
+          let saved = e.proc_ctx in
+          e.proc_ctx <- (match task.t_owner with Some (p, _) -> Some p | None -> None);
+          (try task.t_run ()
+           with exn ->
+             e.proc_ctx <- saved;
+             raise exn);
+          e.proc_ctx <- saved
+        end;
+        loop ()
   in
-  current := Some e;
-  Process.reset_pids ();
-  Trace.reset ();
-  Trace.set_clock (fun () -> e.clock);
-  Trace.set_observer (fun kind -> e.csum <- fnv1a_string e.csum kind);
-  Buggify.configure ~enabled:buggify ~rng:(Rng.split e.root_rng);
-  (* Promise-lifecycle sanitizer: labeled promises are registered against
-     the process that created them; the report at [finish] convicts the
-     ones still pending with waiters on live processes (leaked wakeups).
-     Pure bookkeeping — the trace checksum is unaffected. *)
-  Future.Lifecycle.enable ~owner:(fun () ->
-      match e.proc_ctx with
-      | Some p -> Some (p, p.Process.incarnation)
-      | None -> None);
-  let finish () =
-    Buggify.reset ();
-    Trace.clear_observer ();
-    last_checksum := e.csum;
-    last_lifecycle := Future.Lifecycle.snapshot ();
-    Future.Lifecycle.disable ();
-    current := None
-  in
-  match
-    let root = f () in
-    let result = ref None in
-    Future.on_resolve root (fun r -> result := Some r);
-    let rec loop () =
-      match !result with
-      | Some r -> r
-      | None ->
-          if e.heap.Heap.len = 0 then raise Deadlock;
-          let task = Heap.pop e.heap in
-          if task.t_time > max_time then
-            failwith (Printf.sprintf "Engine.run: exceeded max_time %.0fs" max_time);
-          if task.t_time > e.clock then e.clock <- task.t_time;
-          let live =
-            match task.t_owner with
-            | None -> true
-            | Some (p, inc) -> Process.is_live p inc
-          in
-          if live then begin
-            let pid = match task.t_owner with Some (p, _) -> p.Process.pid | None -> -1 in
-            e.csum <-
-              fnv1a_int64
-                (fnv1a_int64
-                   (fnv1a_int64 e.csum (Int64.bits_of_float task.t_time))
-                   (Int64.of_int pid))
-                (Int64.of_int task.t_seq);
-            e.executed <- e.executed + 1;
-            let saved = e.proc_ctx in
-            e.proc_ctx <- (match task.t_owner with Some (p, _) -> Some p | None -> None);
-            (try task.t_run ()
-             with exn ->
-               e.proc_ctx <- saved;
-               raise exn);
-            e.proc_ctx <- saved
-          end;
-          loop ()
-    in
-    loop ()
-  with
-  | Ok v ->
-      finish ();
-      v
-  | Error exn ->
-      finish ();
-      raise exn
-  | exception exn ->
-      finish ();
-      raise exn
+  match loop () with Ok v -> v | Error exn -> raise exn

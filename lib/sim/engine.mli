@@ -3,9 +3,11 @@
     One engine drives one simulation. All database code runs inside
     {!run}; virtual time advances only when the event queue says so, so a
     run is a pure function of its seed, and can fast-forward through idle
-    stretches arbitrarily faster than real time. The engine is installed in
-    a module-level slot for the duration of {!run} — simulations cannot be
-    nested, mirroring the single-simulator-process design of FDB. *)
+    stretches arbitrarily faster than real time. Everything a run owns —
+    queue, clock, RNG, trace, buggify decisions, pids, sanitizer tallies —
+    is one [Sim.t] that {!run} creates and installs in the calling domain's
+    slot, so runs share no state: two domains can run seeds side by side,
+    but runs cannot be nested within one domain. *)
 
 exception Deadlock
 (** Raised by {!run} when the event queue empties while the root future is
@@ -19,8 +21,10 @@ exception Killed
 
 val run :
   ?seed:int64 -> ?max_time:float -> ?buggify:bool -> (unit -> 'a Future.t) -> 'a
-(** [run f] creates a fresh engine, runs [f ()] and processes events until
-    the returned future resolves. Raises {!Deadlock} on quiescence, and
+(** [run f] creates a fresh [Sim.t], runs [f ()] and processes events
+    until the returned future resolves. The finished state stays readable
+    (checksum, lifecycle report, trace, buggify points) until the next
+    run in the same domain. Raises {!Deadlock} on quiescence, and
     [Failure] if [max_time] (default 1e7 simulated seconds) is exceeded.
     [buggify] enables the {!Buggify} fault-injection points for this run. *)
 
@@ -88,9 +92,6 @@ val kill : Process.t -> unit
 val reboot : Process.t -> ?delay:float -> unit -> unit
 (** Kill (if alive) and schedule the process to come back after [delay]
     (default 0.5 s), running its [boot] thunk in the new incarnation. *)
-
-val buggify_enabled : unit -> bool
-(** Whether this run was started with fault-injection points enabled. *)
 
 val is_running : unit -> bool
 (** True between the start and end of {!run} (some modules fall back to

@@ -2,10 +2,11 @@ type 'a state =
   | Pending of (('a, exn) result -> unit) list (* callbacks, reversed *)
   | Resolved of ('a, exn) result
 
-(* [lbl] is the creation-site label ("" when unlabeled). Labeled promises
-   are the unit of the lifecycle sanitizer below: they are registered at
-   creation and audited at simulation end. *)
-type 'a t = { mutable state : 'a state; lbl : string }
+(* [tag] carries the creation-site label ("" when unlabeled) and the
+   promise's key in the run's pending table; every unlabeled future shares
+   [untagged], so it costs no more than a bare label. Labeled promises are
+   the unit of the lifecycle sanitizer below. *)
+type 'a t = { mutable state : 'a state; tag : Sim.tag }
 type 'a promise = 'a t
 
 exception Cancelled of string
@@ -13,18 +14,19 @@ exception Cancelled of string
 let is_resolved t = match t.state with Resolved _ -> true | Pending _ -> false
 let is_pending t = not (is_resolved t)
 let has_waiters t = match t.state with Pending (_ :: _) -> true | _ -> false
-let label t = t.lbl
+let label t = t.tag.Sim.tag_label
 
 (* ---- promise-lifecycle sanitizer ----
    The static rule R6 keeps futures from being silently dropped; this is
-   the runtime residue-catcher. While enabled (Engine.run enables it for
-   the duration of a simulation), every [make] is counted, every labeled
-   promise is registered with its creating process, and the engine asks for
-   a report at simulation end: labeled promises still pending with waiters
-   on a live process are leaked wakeups — an actor is blocked on a signal
-   that can no longer arrive. Double [try_fulfill]s and detached-future
-   failures are tallied the same way. Pure bookkeeping: no trace events,
-   no scheduling, so enabling it never perturbs a run's trace checksum. *)
+   the runtime residue-catcher. During a run every [make] is counted, and
+   every labeled promise is entered in the run's pending table with its
+   creating process until it resolves. When the run ends, the labeled
+   promises still pending with waiters on a live process are leaked
+   wakeups — an actor is blocked on a signal that can no longer arrive.
+   Double [try_fulfill]s and detached-future failures are tallied the
+   same way. Pure bookkeeping: no trace events, no scheduling, so it
+   never perturbs a run's trace checksum. The tallies live in [Sim.t];
+   [Engine.last_run_lifecycle] reports them. *)
 module Lifecycle = struct
   type report = {
     lr_created : int;  (* promises created via [make] *)
@@ -44,91 +46,48 @@ module Lifecycle = struct
     }
 
   let total_leaks r = List.fold_left (fun acc (_, n) -> acc + n) 0 r.lr_leaked
-
-  type tracked = {
-    tr_label : string;
-    tr_owner : (Process.t * int) option; (* creating process, incarnation *)
-    tr_pending : unit -> bool;
-    tr_waited : unit -> bool;
-  }
-
-  let enabled = ref false
-  let owner_source : (unit -> (Process.t * int) option) ref = ref (fun () -> None)
-  let n_created = ref 0
-  let n_resolved = ref 0
-  let tracked : tracked list ref = ref []
-  let doubles : (string * int ref) list ref = ref []
-  let detach_fails : (string * int ref) list ref = ref []
-
-  let bump table name =
-    match List.assoc_opt name !table with
-    | Some r -> incr r
-    | None -> table := (name, ref 1) :: !table
-
-  let reset () =
-    n_created := 0;
-    n_resolved := 0;
-    tracked := [];
-    doubles := [];
-    detach_fails := []
-
-  let enable ~owner =
-    reset ();
-    owner_source := owner;
-    enabled := true
-
-  let disable () =
-    enabled := false;
-    owner_source := (fun () -> None);
-    reset ()
-
-  let owner_live = function
-    | None -> true
-    | Some (p, inc) -> Process.is_live p inc
-
-  let render table = List.sort compare (List.map (fun (k, r) -> (k, !r)) !table)
-
-  let snapshot () =
-    let leaks = ref [] in
-    List.iter
-      (fun tr ->
-        if tr.tr_pending () && tr.tr_waited () && owner_live tr.tr_owner then
-          bump leaks tr.tr_label)
-      !tracked;
-    {
-      lr_created = !n_created;
-      lr_resolved = !n_resolved;
-      lr_leaked = render leaks;
-      lr_double_resolved = render doubles;
-      lr_detach_failures = render detach_fails;
-    }
 end
 
-let make ?label () =
-  let f = { state = Pending []; lbl = (match label with Some l -> l | None -> "") } in
-  if !Lifecycle.enabled then begin
-    incr Lifecycle.n_created;
-    if f.lbl <> "" then
-      Lifecycle.tracked :=
-        {
-          Lifecycle.tr_label = f.lbl;
-          tr_owner = !Lifecycle.owner_source ();
-          tr_pending = (fun () -> is_pending f);
-          tr_waited = (fun () -> has_waiters f);
-        }
-        :: !Lifecycle.tracked
-  end;
+let untagged = { Sim.tag_label = ""; tag_id = 0 }
+
+let make ?(label = "") () =
+  let s = Sim.get () in
+  let tracked = s.Sim.running && label <> "" in
+  if s.Sim.running then s.Sim.lc_created <- s.Sim.lc_created + 1;
+  if tracked then s.Sim.lc_next_id <- s.Sim.lc_next_id + 1;
+  let tag =
+    if label = "" then untagged
+    else { Sim.tag_label = label; tag_id = (if tracked then s.Sim.lc_next_id else 0) }
+  in
+  let f = { state = Pending []; tag } in
+  if tracked then
+    Fdb_util.Det_tbl.replace s.Sim.lc_pending tag.Sim.tag_id
+      {
+        Sim.pd_tag = tag;
+        pd_owner = Option.map (fun p -> (p, p.Sim.incarnation)) s.Sim.proc_ctx;
+        pd_waited = (fun () -> has_waiters f);
+      };
   (f, f)
 
-let return v = { state = Resolved (Ok v); lbl = "" }
-let fail e = { state = Resolved (Error e); lbl = "" }
+let return v = { state = Resolved (Ok v); tag = untagged }
+let fail e = { state = Resolved (Error e); tag = untagged }
 
 let resolve_with t r =
   match t.state with
   | Resolved _ -> invalid_arg "Future: already resolved"
   | Pending cbs ->
       t.state <- Resolved r;
-      if !Lifecycle.enabled then incr Lifecycle.n_resolved;
+      let s = Sim.get () in
+      if s.Sim.running then begin
+        s.Sim.lc_resolved <- s.Sim.lc_resolved + 1;
+        (* The physical check skips a promise left over from an earlier
+           run, whose key may name another promise in this one. *)
+        let id = t.tag.Sim.tag_id in
+        if id <> 0 then
+          match Fdb_util.Det_tbl.find_opt s.Sim.lc_pending id with
+          | Some pd when pd.Sim.pd_tag == t.tag -> Fdb_util.Det_tbl.remove s.Sim.lc_pending id
+          | _ -> ()
+      end;
       List.iter (fun cb -> cb r) (List.rev cbs)
 
 let fulfill p v = resolve_with p (Ok v)
@@ -137,8 +96,8 @@ let break p e = resolve_with p (Error e)
 let try_resolve_with t r =
   match t.state with
   | Resolved _ ->
-      if !Lifecycle.enabled && t.lbl <> "" then
-        Lifecycle.bump Lifecycle.doubles t.lbl;
+      let s = Sim.get () in
+      if s.Sim.running && label t <> "" then Sim.bump s.Sim.lc_doubles (label t);
       false
   | Pending _ ->
       resolve_with t r;
@@ -260,7 +219,7 @@ let race ts =
           (fun t ->
             if is_pending t then begin
               Trace.emit "future_race_loser_cancelled"
-                [ ("label", if t.lbl = "" then "<unlabeled>" else t.lbl) ];
+                [ ("label", if label t = "" then "<unlabeled>" else label t) ];
               ignore (try_break t race_loser_exn : bool)
             end)
           ts
@@ -280,7 +239,8 @@ let ignore_result (_ : 'a t) = ()
    report); successes are dropped. *)
 let detach ~name t =
   let on_error e =
-    if !Lifecycle.enabled then Lifecycle.bump Lifecycle.detach_fails name;
+    let s = Sim.get () in
+    if s.Sim.running then Sim.bump s.Sim.lc_detach_failures name;
     Trace.emit "future_detached_error"
       [ ("actor", name); ("exn", Printexc.to_string e) ]
   in

@@ -1,11 +1,11 @@
-type machine = {
+type machine = Sim.machine = {
   machine_id : int;
   dc : string;
   rack : string;
   mutable machine_processes : t list;
 }
 
-and t = {
+and t = Sim.process = {
   pid : int;
   name : string;
   machine : machine;
@@ -17,17 +17,16 @@ and t = {
   mutable reboot_hooks : (unit -> unit) list;
 }
 
-let next_pid = ref 0
-let reset_pids () = next_pid := 0
-
 let fresh_machine ?(dc = "dc0") ?(rack = "rack0") machine_id =
   { machine_id; dc; rack; machine_processes = [] }
 
 let create ?(name = "process") machine =
-  incr next_pid;
+  let s = Sim.get () in
+  if not s.Sim.running then failwith "Process.create: no simulation running";
+  s.Sim.next_pid <- s.Sim.next_pid + 1;
   let p =
     {
-      pid = !next_pid;
+      pid = s.Sim.next_pid;
       name;
       machine;
       alive = true;

@@ -1,30 +1,19 @@
-type event = { te_time : float; te_name : string; te_fields : (string * string) list }
+type event = Sim.trace_event = {
+  te_time : float;
+  te_name : string;
+  te_fields : (string * string) list;
+}
 
-let buffer : event list ref = ref []
-let enabled = ref true
-let clock : (unit -> float) ref = ref (fun () -> 0.0)
-
-(* The engine registers itself here to fold every emitted event into its
-   running trace checksum (the double-run determinism oracle). Called on
-   every emit, even with collection disabled, so the checksum does not
-   depend on whether the trace buffer is being kept. *)
-let observer : (string -> unit) ref = ref (fun _ -> ())
-
-let reset () =
-  buffer := [];
-  clock := fun () -> 0.0
-
-let set_clock f = clock := f
-let set_enabled b = enabled := b
-let set_observer f = observer := f
-let clear_observer () = observer := (fun _ -> ())
-
+(* The kind is folded into the run's checksum here, so the double-run
+   oracle sees every event whether or not anyone reads the buffer. *)
 let emit name fields =
-  !observer name;
-  if !enabled then
-    buffer := { te_time = !clock (); te_name = name; te_fields = fields } :: !buffer
+  let s = Sim.get () in
+  if s.Sim.running then begin
+    s.Sim.csum <- Sim.fnv1a_string s.Sim.csum name;
+    s.Sim.trace <- { te_time = s.Sim.clock; te_name = name; te_fields = fields } :: s.Sim.trace
+  end
 
-let events () = List.rev !buffer
+let events () = List.rev (Sim.get ()).Sim.trace
 
 let dump fmt () =
   List.iter
@@ -35,4 +24,6 @@ let dump fmt () =
     (events ())
 
 let count name =
-  List.fold_left (fun acc e -> if e.te_name = name then acc + 1 else acc) 0 !buffer
+  List.fold_left
+    (fun acc e -> if e.te_name = name then acc + 1 else acc)
+    0 (Sim.get ()).Sim.trace

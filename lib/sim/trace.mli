@@ -2,32 +2,21 @@
 
     Roles emit trace events (like FDB's TraceEvent); tests compare traces
     across runs to assert determinism, and the CLI can dump them for
-    debugging a failing seed. Collection is cheap and can be disabled. *)
+    debugging a failing seed. The buffer belongs to the current {!Engine.run}
+    and stays readable after it ends, until the next run starts. *)
 
-type event = { te_time : float; te_name : string; te_fields : (string * string) list }
-
-val reset : unit -> unit
-(** Drop all collected events (called by {!Engine.run}). The simulated
-    clock source is also re-armed. *)
-
-val set_clock : (unit -> float) -> unit
-(** Install the time source (the engine installs its virtual clock). *)
-
-val set_enabled : bool -> unit
-(** Enable/disable collection (default enabled). *)
-
-val set_observer : (string -> unit) -> unit
-(** Install a hook called with every emitted event name, even when
-    collection is disabled. The engine uses it to fold event kinds into
-    its run checksum; there is at most one observer. *)
-
-val clear_observer : unit -> unit
+type event = Sim.trace_event = {
+  te_time : float;
+  te_name : string;
+  te_fields : (string * string) list;
+}
 
 val emit : string -> (string * string) list -> unit
-(** Record one event at the current time. *)
+(** Record one event at the current virtual time and fold its name into
+    {!Engine.trace_checksum}. Does nothing outside a run. *)
 
 val events : unit -> event list
-(** All events in emission order. *)
+(** All events of the current or last run, in emission order. *)
 
 val dump : Format.formatter -> unit -> unit
 (** Pretty-print the whole trace. *)

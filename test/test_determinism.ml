@@ -64,9 +64,29 @@ let test_golden_checksums () =
         (Printf.sprintf "%016Lx" r.Swarm.trace_checksum))
     golden_checksums
 
+(* Per-run state belongs to the domain running it, so the golden seeds
+   can run side by side on two domains and must still replay exactly. *)
+let test_golden_checksums_on_domains () =
+  let spawned =
+    List.map
+      (fun (seed, golden) ->
+        ( seed,
+          golden,
+          Domain.spawn (fun () ->
+              (Swarm.run_one ~buggify:true ~duration:10.0 ~seed ()).Swarm.trace_checksum) ))
+      golden_checksums
+  in
+  List.iter
+    (fun (seed, golden, d) ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %Ld trace checksum on its own domain" seed)
+        (Printf.sprintf "%016Lx" golden)
+        (Printf.sprintf "%016Lx" (Domain.join d)))
+    spawned
+
 let test_checksum_sensitive_to_trace_kinds () =
-  (* Same scheduling skeleton, different Trace.emit kinds — the observer
-     must fold the kind into the checksum. *)
+  (* Same scheduling skeleton, different Trace.emit kinds — emit must
+     fold the kind into the checksum. *)
   let open Fdb_sim in
   let run kind =
     let () =
@@ -86,6 +106,8 @@ let suite =
     Alcotest.test_case "double run identical with movement" `Slow
       test_double_run_identical_with_movement;
     Alcotest.test_case "golden swarm checksums" `Quick test_golden_checksums;
+    Alcotest.test_case "golden checksums on two domains" `Quick
+      test_golden_checksums_on_domains;
     Alcotest.test_case "distinct seeds distinct streams" `Quick
       test_distinct_seeds_distinct_streams;
     Alcotest.test_case "trace kinds feed checksum" `Quick

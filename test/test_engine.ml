@@ -225,6 +225,44 @@ let test_buggify_fires_when_enabled () =
   done;
   Alcotest.(check bool) "fires under some seed" true !fired_any
 
+(* Back-to-back runs share nothing: each starts from a fresh [Sim.t], so a
+   run sees no buggify point, pid or trace event of the one before. The
+   finished run stays readable until the next one starts. *)
+let test_runs_are_isolated () =
+  let rec dirty_run seed =
+    let fired =
+      Engine.run ~seed ~buggify:true (fun () ->
+          let m = Process.fresh_machine 1 in
+          let (_ : Process.t) = Process.create m and (_ : Process.t) = Process.create m in
+          Trace.emit "isolation_probe" [];
+          Future.return (Buggify.on ~p:1.0 "isolation_point"))
+    in
+    if not fired then dirty_run (Int64.succ seed)
+  in
+  dirty_run 1L;
+  Alcotest.(check (list string)) "finished run's points" [ "isolation_point" ]
+    (Buggify.points_hit ());
+  Alcotest.(check int) "finished run's trace" 1 (Trace.count "isolation_probe");
+  let points, probes, pid =
+    Engine.run (fun () ->
+        let points = Buggify.points_hit () and probes = Trace.count "isolation_probe" in
+        let p = Process.create (Process.fresh_machine 1) in
+        Future.return (points, probes, p.Process.pid))
+  in
+  Alcotest.(check (list string)) "no points carried over" [] points;
+  Alcotest.(check int) "no trace carried over" 0 probes;
+  Alcotest.(check int) "pids restart at 1" 1 pid
+
+let test_outside_a_run () =
+  Alcotest.(check bool) "buggify inert" false (Buggify.on ~p:1.0 "test_point");
+  let before = Trace.events () in
+  Trace.emit "outside_probe" [];
+  Alcotest.(check int) "emit is a no-op" (List.length before) (List.length (Trace.events ()));
+  Alcotest.(check bool) "process creation fails" true
+    (match Process.create (Process.fresh_machine 1) with
+    | (_ : Process.t) -> false
+    | exception Failure _ -> true)
+
 (* ---------- the indexed heap against a sorted reference model ----------
 
    One op program is interpreted twice: on the engine, and on a reference
@@ -418,4 +456,6 @@ let suite =
     Alcotest.test_case "no nested runs" `Quick test_no_nested_runs;
     Alcotest.test_case "buggify off by default" `Quick test_buggify_off_by_default;
     Alcotest.test_case "buggify fires when enabled" `Quick test_buggify_fires_when_enabled;
+    Alcotest.test_case "runs are isolated" `Quick test_runs_are_isolated;
+    Alcotest.test_case "outside a run" `Quick test_outside_a_run;
   ]

@@ -207,6 +207,7 @@ let suite =
     Alcotest.test_case "golden: R6 detach clean" `Quick (golden "r6_detach");
     Alcotest.test_case "golden: stale suppression" `Quick (golden "stale_suppression");
     Alcotest.test_case "golden: R7 global ref" `Quick (golden "r7_global_ref");
+    Alcotest.test_case "golden: R7 containers" `Quick (golden "r7_containers");
     Alcotest.test_case "golden: R6 json" `Quick (golden_json "r6_discard");
     Alcotest.test_case "R5 lib only" `Quick test_r5_lib_only;
     Alcotest.test_case "R5 literal bind" `Quick test_r5_bind_literal;

@@ -280,6 +280,59 @@ let test_storage_fails_over_to_replica () =
   Alcotest.(check int64) "caught up before the kill" 5L before_kill;
   Alcotest.(check int64) "pulled from the replica within the peek timeout" 9L after_timeout
 
+(* ---------- resurrection's chain walk against the old fold (qcheck) ---------- *)
+
+(* The walk [resurrect] used before [Log_server.chain_from], kept as the
+   reference: per link, one key-sorted fold over the remaining records,
+   whose head is the largest LSN naming [v] as predecessor. *)
+let reference_chain ~floor records =
+  let scratch = Fdb_util.Det_tbl.create () in
+  List.iter
+    (fun (e : Message.log_entry) ->
+      if e.le_lsn > floor then Fdb_util.Det_tbl.replace scratch e.le_lsn e)
+    records;
+  let rec chain v acc =
+    let candidates =
+      Fdb_util.Det_tbl.fold
+        (fun lsn (e : Message.log_entry) acc -> if e.le_prev = v then (lsn, e) :: acc else acc)
+        scratch []
+    in
+    match candidates with
+    | (lsn, e) :: _ ->
+        Fdb_util.Det_tbl.remove scratch lsn;
+        chain lsn (e :: acc)
+    | [] -> List.rev acc
+  in
+  chain floor []
+
+(* Small LSNs so that LSNs repeat, predecessors are shared, chains have
+   gaps, and some records sit at or below the floor. [kcv] tells records
+   with the same LSN apart. *)
+let gen_wal =
+  QCheck.Gen.(
+    let record =
+      int_range 0 40 >>= fun lsn ->
+      frequency [ (3, map (fun d -> max 0 (lsn - d)) (int_range 1 3)); (1, int_range 0 40) ]
+      >>= fun prev ->
+      int_range 0 999 >|= fun kcv ->
+      entry ~lsn:(Int64.of_int lsn) ~prev:(Int64.of_int prev) ~kcv:(Int64.of_int kcv) []
+    in
+    pair (map Int64.of_int (int_range 0 8)) (list_size (int_range 0 60) record))
+
+let print_wal (floor, records) =
+  Printf.sprintf "floor=%Ld [%s]" floor
+    (String.concat "; "
+       (List.map
+          (fun (e : Message.log_entry) ->
+            Printf.sprintf "%Ld<-%Ld kcv=%Ld" e.le_lsn e.le_prev e.le_kcv)
+          records))
+
+let qcheck_chain_from =
+  QCheck.Test.make ~name:"chain_from matches the per-link fold" ~count:500
+    (QCheck.make ~print:print_wal gen_wal)
+    (fun (floor, records) ->
+      Log_server.chain_from ~floor records = reference_chain ~floor records)
+
 let suite =
   [
     Alcotest.test_case "in-order push/peek" `Quick test_in_order_push_and_peek;
@@ -288,6 +341,7 @@ let suite =
     Alcotest.test_case "pop discards" `Quick test_pop_discards;
     Alcotest.test_case "lock stops pushes" `Quick test_lock_stops_pushes_and_reports;
     Alcotest.test_case "resurrect after prune" `Quick test_resurrect_after_prune;
+    QCheck_alcotest.to_alcotest qcheck_chain_from;
     Alcotest.test_case "peek held until push" `Quick test_peek_held_until_push;
     Alcotest.test_case "lock breaks held peek" `Quick test_lock_breaks_held_peek;
     Alcotest.test_case "poll timeout replies empty" `Quick test_poll_timeout_replies_empty;
