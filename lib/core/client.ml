@@ -583,119 +583,6 @@ let selector_walk (sel : Key_selector.t) =
   if sel.sel_offset >= 1 then (`Forward, start, sel.sel_offset)
   else (`Reverse, start, 1 - sel.sel_offset)
 
-(* Resolution against storage alone: walk shard fragments in scan order,
-   asking each team to advance the walk ([Storage_get_key]); a fragment
-   that exhausts without resolving reports how many keys it consumed and
-   the walk continues in the next shard. The MVCC window on the server
-   makes this exact at the transaction's read version. *)
-let storage_resolve t (version, rv_epoch) ~start ~reverse ~need =
-  let db = t.db in
-  let rec whole retries =
-    let from, until = if reverse then ("", start) else (start, Types.key_space_end) in
-    let frags =
-      let fs = Shard_map.shards_for_range db.ctx.Context.shard_map ~from ~until in
-      if reverse then List.rev fs else fs
-    in
-    let rec walk frags need =
-      match frags with
-      | [] -> Future.return None
-      | (f, u, team) :: rest ->
-          let* reply =
-            with_failover db ~team (fun ss ->
-                let ep = db.ctx.Context.storage_eps.(ss) in
-                let* r =
-                  Context.rpc db.ctx ~timeout:Params.client_read_timeout
-                    ~from:db.proc ep
-                    (Message.Storage_get_key
-                       {
-                         gk_from = f;
-                         gk_until = u;
-                         gk_reverse = reverse;
-                         gk_start = start;
-                         gk_need = need;
-                         gk_version = version;
-                         gk_epoch = rv_epoch;
-                       })
-                in
-                match r with
-                | Message.Storage_get_key_reply { kr_key; kr_seen } ->
-                    Future.return (kr_key, kr_seen)
-                | _ -> Future.fail (Error.Fdb Error.Timed_out))
-          in
-          (match reply with
-          | Some k, _ -> Future.return (Some k)
-          | None, seen -> walk rest (need - seen))
-    in
-    Future.catch
-      (fun () -> walk frags need)
-      (function
-        | Error.Fdb Error.Wrong_shard when retries > 0 -> whole (retries - 1)
-        | e -> Future.fail e)
-  in
-  whole 3
-
-(* Resolution through the RYW merge: when the transaction has buffered
-   writes or clears the storage answer alone is wrong, so walk merged
-   batches instead. *)
-let merged_nth t snap ~start ~reverse ~need =
-  let rec loop ~from ~until need =
-    if from >= until then Future.return None
-    else
-      let* rows, continuation =
-        read_merged t ~snap ~from ~until ~reverse ~row_limit:need
-          ~byte_limit:Params.range_bytes_want_all ~conflict:false
-      in
-      let n = List.length rows in
-      if n >= need then Future.return (Some (fst (List.nth rows (need - 1))))
-      else
-        match continuation with
-        | None -> Future.return None
-        | Some c ->
-            let from, until = if reverse then (from, c) else (c, until) in
-            loop ~from ~until (need - n)
-  in
-  if reverse then loop ~from:"" ~until:start need
-  else loop ~from:start ~until:Types.key_space_end need
-
-(* Resolve a selector to a concrete key, clamped to [""] /
-   [Types.key_space_end] when the walk runs off the edge of the key space
-   (the standard FDB clamp). Also returns the span the walk observed: a
-   key inserted there would move the answer, so a non-snapshot read must
-   conflict on it. *)
-let resolve_key t snap sel =
-  let dir, start, need = selector_walk sel in
-  let reverse = dir = `Reverse in
-  let* resolved =
-    if KeyMap.is_empty t.writes && t.cleared = [] then
-      storage_resolve t snap ~start ~reverse ~need
-    else merged_nth t snap ~start ~reverse ~need
-  in
-  let k =
-    match resolved with
-    | Some k -> k
-    | None -> if reverse then "" else Types.key_space_end
-  in
-  Future.return (k, if reverse then (k, start) else (start, Types.next_key k))
-
-let add_walked_conflict t ~snapshot (from, until) =
-  if not snapshot then add_read_conflict_range t ~from ~until
-
-let get_key ?(snapshot = false) t sel =
-  check_not_committed t;
-  let* snap = snapshot_info t in
-  let* k, walked = resolve_key t snap sel in
-  add_walked_conflict t ~snapshot walked;
-  Future.return k
-
-(* Range endpoints resolve with a fast path: firstGreaterOrEqual with no
-   offset IS its key as a range bound — no round-trip, nothing walked. *)
-let resolve_endpoint t snap (sel : Key_selector.t) =
-  if (not sel.sel_or_equal) && sel.sel_offset = 1 then
-    Future.return (sel.sel_key, (sel.sel_key, sel.sel_key))
-  else resolve_key t snap sel
-
-let clamp_key k = if k > Types.key_space_end then Types.key_space_end else k
-
 (* ---------- the unified range API ---------- *)
 
 type batch = {
@@ -703,12 +590,47 @@ type batch = {
   batch_continuation : string option;
 }
 
+let add_walked_conflict t ~snapshot (from, until) =
+  if not snapshot then add_read_conflict_range t ~from ~until
+
+let clamp_key k = if k > Types.key_space_end then Types.key_space_end else k
+
+(* Resolve a selector to a concrete key: drain a snapshot range read of
+   [need] rows from [start] in the walk's direction and take the last, so
+   resolution sees buffered writes and pays into the read-byte cap like
+   any other read. The read's bounds are plain keys, so it never resolves
+   a selector itself. When the walk runs off the edge of the key space the
+   key clamps to [""] / [Types.key_space_end] (the standard FDB clamp).
+   Also returns the span the walk observed: a key inserted there would
+   move the answer, so a non-snapshot read must conflict on it. *)
+let rec resolve_key t sel =
+  let dir, start, need = selector_walk sel in
+  let reverse = dir = `Reverse in
+  let from, until = if reverse then ("", start) else (start, Types.key_space_end) in
+  let* rows =
+    range_all t
+      (Range_query.keys ~snapshot:true ~limit:need ~reverse ~from ~until ())
+  in
+  let k =
+    match List.nth_opt rows (need - 1) with
+    | Some (k, _) -> k
+    | None -> if reverse then "" else Types.key_space_end
+  in
+  Future.return (k, if reverse then (k, start) else (start, Types.next_key k))
+
+(* Range endpoints resolve with a fast path: firstGreaterOrEqual with no
+   offset IS its key as a range bound — no round-trip, nothing walked. *)
+and resolve_endpoint t (sel : Key_selector.t) =
+  if (not sel.sel_or_equal) && sel.sel_offset = 1 then
+    Future.return (sel.sel_key, (sel.sel_key, sel.sel_key))
+  else resolve_key t sel
+
 (* The concrete bounds of a query. Plain-key bounds are used as they are,
    with no round-trip; selector bounds resolve at the snapshot and clamp
    into the key space. The continuation cursor then narrows either. A
    non-snapshot query conflicts here on the spans its selector walks
    observed. *)
-let query_bounds t (q : Range_query.t) =
+and query_bounds t (q : Range_query.t) =
   let* from, until =
     match Range_query.trivial_bounds q with
     | Some (from, until) ->
@@ -716,9 +638,8 @@ let query_bounds t (q : Range_query.t) =
           raise (Error.Fdb Error.Key_outside_legal_range);
         Future.return (from, until)
     | None ->
-        let* snap = snapshot_info t in
-        let* lo, lo_walked = resolve_endpoint t snap q.rq_begin in
-        let* hi, hi_walked = resolve_endpoint t snap q.rq_end in
+        let* lo, lo_walked = resolve_endpoint t q.rq_begin in
+        let* hi, hi_walked = resolve_endpoint t q.rq_end in
         add_walked_conflict t ~snapshot:q.rq_snapshot lo_walked;
         add_walked_conflict t ~snapshot:q.rq_snapshot hi_walked;
         Future.return (clamp_key lo, clamp_key hi)
@@ -728,27 +649,11 @@ let query_bounds t (q : Range_query.t) =
     | None -> (from, until)
     | Some c -> if q.rq_reverse then (from, min c until) else (max c from, until))
 
-(* One bounded batch of the query — the streaming building block. The
-   batch adds a read conflict only over the span it actually observed. *)
-let range t (q : Range_query.t) =
-  check_not_committed t;
-  let* from, until = query_bounds t q in
-  if from >= until then
-    Future.return { batch_rows = []; batch_continuation = None }
-  else
-    let* snap = snapshot_info t in
-    let row_limit, byte_limit = batch_budgets q.rq_mode ~remaining:q.rq_limit in
-    let* rows, continuation =
-      read_merged t ~snap ~from ~until ~reverse:q.rq_reverse ~row_limit
-        ~byte_limit ~conflict:(not q.rq_snapshot)
-    in
-    Future.return { batch_rows = rows; batch_continuation = continuation }
-
 (* Drain the query to a list: loop batches, stitching continuations, until
    the range is exhausted or [rq_limit] rows are in hand. A non-snapshot
    query conflicts on the whole resolved range up front: the result
    logically depends on all of it. *)
-let range_all t (q : Range_query.t) =
+and range_all t (q : Range_query.t) =
   check_not_committed t;
   let* from, until = query_bounds t q in
   if from >= until then Future.return []
@@ -776,6 +681,28 @@ let range_all t (q : Range_query.t) =
     in
     loop ~from ~until [] 0
   end
+
+(* One bounded batch of the query — the streaming building block. The
+   batch adds a read conflict only over the span it actually observed. *)
+let range t (q : Range_query.t) =
+  check_not_committed t;
+  let* from, until = query_bounds t q in
+  if from >= until then
+    Future.return { batch_rows = []; batch_continuation = None }
+  else
+    let* snap = snapshot_info t in
+    let row_limit, byte_limit = batch_budgets q.rq_mode ~remaining:q.rq_limit in
+    let* rows, continuation =
+      read_merged t ~snap ~from ~until ~reverse:q.rq_reverse ~row_limit
+        ~byte_limit ~conflict:(not q.rq_snapshot)
+    in
+    Future.return { batch_rows = rows; batch_continuation = continuation }
+
+let get_key ?(snapshot = false) t sel =
+  check_not_committed t;
+  let* k, walked = resolve_key t sel in
+  add_walked_conflict t ~snapshot walked;
+  Future.return k
 
 (* ---------- writes ---------- *)
 

@@ -72,9 +72,10 @@ module Key_selector : sig
   }
   (** Resolution: find the last key [<= sel_key] ([< sel_key] when
       [sel_or_equal] is false), then move [sel_offset] keys forward.
-      Resolution happens at the storage servers against the MVCC window at
-      the transaction's read version; walks that run off the edge of the
-      key space clamp to [""] / {!Types.key_space_end}. *)
+      The client resolves a selector with a snapshot range read from the
+      walk's origin, so it sees the transaction's buffered writes; walks
+      that run off the edge of the key space clamp to [""] /
+      {!Types.key_space_end}. *)
 
   val first_greater_or_equal : ?offset:int -> string -> t
   val first_greater_than : ?offset:int -> string -> t
@@ -121,7 +122,10 @@ val get : ?snapshot:bool -> tx -> string -> string option Fdb_sim.Future.t
 
 val get_key : ?snapshot:bool -> tx -> Key_selector.t -> string Fdb_sim.Future.t
 (** Resolve a key selector at the transaction's snapshot, merged with
-    buffered writes. Clamps to [""] / {!Types.key_space_end} off the ends. *)
+    buffered writes. Clamps to [""] / {!Types.key_space_end} off the ends.
+    The walk is a range read of as many rows as the offset needs: its
+    bytes count against [opt_max_read_bytes], and unless [snapshot] is set
+    the span it walked becomes a read conflict range. *)
 
 (** {2 The unified range API}
 

@@ -18,9 +18,6 @@ let status_doc t = Fdb_obs.Rollup.snapshot ~now:(Engine.now ()) t.ctx.Context.me
 let latest_status_doc t = Fdb_obs.Rollup.latest t.rollup
 let worker_machines t = Array.map (fun h -> h.Worker.h_machine) t.hosts
 
-let coordinator_machines t =
-  Array.sub (worker_machines t) 0 t.ctx.Context.config.Config.coordinators
-
 let log_bytes t =
   Array.fold_left
     (fun acc h -> Array.fold_left (fun a d -> a +. Disk.bytes_written d) acc h.Worker.h_disks)

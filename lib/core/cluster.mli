@@ -25,8 +25,6 @@ val client : t -> name:string -> Client.db
 val worker_machines : t -> Fdb_sim.Process.machine array
 (** The database machines — the fault injector's target list. *)
 
-val coordinator_machines : t -> Fdb_sim.Process.machine array
-
 val current_epoch : t -> Types.epoch Fdb_sim.Future.t
 (** Ask the control plane for the current generation (for tests). *)
 

@@ -56,7 +56,6 @@ type t = {
 
 let durable_version t = t.dv
 let known_committed t = t.kcv
-let is_stopped t = t.stopped
 let unpopped_bytes t = t.unpopped_bytes
 
 (* Per-generation file name: one machine's log disk may host LogServers

@@ -37,6 +37,5 @@ val chain_from : floor:Types.version -> Message.log_entry list -> Message.log_en
 
 val durable_version : t -> Types.version
 val known_committed : t -> Types.version
-val is_stopped : t -> bool
 val unpopped_bytes : t -> int
 (** Backlog size (Ratekeeper / diagnostics). *)

@@ -3,7 +3,7 @@ type key_range = string * string
 (* A key selector, wire form (paper §2.2 / the FDB bindings' KeySelector).
    Resolution: find the last key [<= sel_key] (or [< sel_key] when
    [sel_or_equal] is false), then move [sel_offset] keys forward in key
-   order. The client decomposes resolution into per-shard walks. *)
+   order. The client resolves it with a range read at its snapshot. *)
 type key_selector = { sel_key : string; sel_or_equal : bool; sel_offset : int }
 
 type client_mutation =
@@ -140,25 +140,6 @@ type t =
           (* true: the reply was cut by the row/byte budget; drain the rest
              of the range with a continuation round-trip *)
     }
-  | Storage_get_key of {
-      gk_from : string; (* fragment to search, within one shard *)
-      gk_until : string;
-      gk_reverse : bool; (* walk direction *)
-      gk_start : string;
-          (* walk origin: forward walks consider keys >= gk_start, reverse
-             walks consider keys < gk_start (both clipped to the fragment) *)
-      gk_need : int; (* resolve to the gk_need-th visible key (>= 1) *)
-      gk_version : Types.version;
-      gk_epoch : Types.epoch;
-    }
-  | Storage_get_key_reply of {
-      kr_key : string option;
-          (* Some k: the walk resolved inside the fragment *)
-      kr_seen : int;
-          (* keys consumed toward the offset when the walk ran off the
-             fragment edge (kr_key = None): the client continues in the
-             next shard with gk_need reduced by this *)
-    }
   | Rk_get_rate
   | Rk_rate of { tps : float }
   | Ss_stats_req
@@ -226,8 +207,6 @@ let name = function
   | Storage_get_reply _ -> "Storage_get_reply"
   | Storage_get_range _ -> "Storage_get_range"
   | Storage_get_range_reply _ -> "Storage_get_range_reply"
-  | Storage_get_key _ -> "Storage_get_key"
-  | Storage_get_key_reply _ -> "Storage_get_key_reply"
   | Rk_get_rate -> "Rk_get_rate"
   | Rk_rate _ -> "Rk_rate"
   | Ss_stats_req -> "Ss_stats_req"

@@ -9,8 +9,9 @@ type key_range = string * string  (** [\[from, until)] *)
 
 (** A key selector on the wire (the FDB bindings' KeySelector): find the
     last key [<= sel_key] ([< sel_key] when [sel_or_equal] is false), then
-    move [sel_offset] keys forward in key order. The client decomposes
-    resolution into per-shard {!Storage_get_key} walks. *)
+    move [sel_offset] keys forward in key order. Storage servers never see
+    one: the client resolves a selector with an ordinary range read at the
+    transaction's snapshot, its own buffered writes merged in. *)
 type key_selector = { sel_key : string; sel_or_equal : bool; sel_offset : int }
 
 (** A client mutation as submitted to a Proxy; versionstamped operations are
@@ -167,23 +168,6 @@ type t =
       rr_more : bool;
           (** the reply was cut by a budget; the caller drains the rest of
               the range with continuation round-trips *)
-    }
-  | Storage_get_key of {
-      gk_from : string;  (** fragment to search, within one shard *)
-      gk_until : string;
-      gk_reverse : bool;  (** walk direction *)
-      gk_start : string;
-          (** walk origin: forward walks consider keys [>= gk_start],
-              reverse walks keys [< gk_start] (clipped to the fragment) *)
-      gk_need : int;  (** resolve to the gk_need-th visible key (>= 1) *)
-      gk_version : Types.version;
-      gk_epoch : Types.epoch;
-    }
-  | Storage_get_key_reply of {
-      kr_key : string option;  (** [Some k]: resolved inside the fragment *)
-      kr_seen : int;
-          (** keys consumed toward the offset when the walk ran off the
-              fragment edge ([kr_key = None]) *)
     }
   (* ratekeeper *)
   | Rk_get_rate

@@ -45,5 +45,3 @@ let trivial_bounds q =
   else None
 
 let with_continuation q c = { q with rq_continuation = Some c }
-let with_limit q limit = { q with rq_limit = limit }
-let with_snapshot q snapshot = { q with rq_snapshot = snapshot }

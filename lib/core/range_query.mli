@@ -33,8 +33,8 @@ val create :
   end_:Message.key_selector ->
   unit ->
   t
-(** General form: both endpoints are key selectors, resolved at the
-    storage servers against the transaction's snapshot. Defaults:
+(** General form: both endpoints are key selectors, resolved by the
+    client against the transaction's snapshot. Defaults:
     [limit = 1000], [mode = `Want_all], forward, non-snapshot. *)
 
 val keys :
@@ -66,6 +66,4 @@ val trivial_bounds : t -> (string * string) option
     firstGreaterOrEqual/no-offset selectors (resolution is the identity). *)
 
 val with_continuation : t -> string -> t
-val with_limit : t -> int -> t
-val with_snapshot : t -> bool -> t
-(** Functional updates for re-issuing a query from a batch cursor. *)
+(** The same query resumed from a batch cursor. *)

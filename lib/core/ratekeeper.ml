@@ -24,8 +24,6 @@ let busy_limit = 0.2 (* seconds of storage CPU queue before throttling *)
    long is presumed dead (the RPC path used a 1 s timeout the same way). *)
 let stale_after = 1.0
 
-let current_rate t = t.rate
-
 (* Read each live storage server's (lag, window_events, busy) from the
    shared metrics plane instead of a per-server stats RPC scatter: the
    samples are at most one heartbeat interval old, exactly like the

@@ -813,49 +813,6 @@ let handle t (msg : Message.t) : Message.t Future.t =
           (List.fold_left (fun a (k, v) -> a + String.length k + String.length v) 0 results);
         Future.return (Message.Storage_get_range_reply { rr_rows = results; rr_more = more })
       end
-  | Message.Storage_get_key
-      { gk_from; gk_until; gk_reverse; gk_start; gk_need; gk_version; gk_epoch } ->
-      (* Key-selector resolution (paper §2.2): walk gk_need visible keys at
-         the read version, inside one served fragment. Resolution runs
-         against the same MVCC window + persistent-store merge as range
-         reads, so a selector observes exactly the snapshot it should. *)
-      if overloaded t then Future.return (Message.Reject Error.Process_behind)
-      else if Buggify.on ~p:0.1 "ss_flaky_range" then
-        Future.return (Message.Reject Error.Process_behind)
-      else
-      let* current = ensure_epoch t gk_epoch in
-      let* ok = if current then wait_for_version t gk_version else Future.return false in
-      if not (current && ok) then Future.return (Message.Reject Error.Future_version)
-      else if gk_version < Window.oldest t.window && Window.oldest t.window > 0L then
-        Future.return (Message.Reject Error.Transaction_too_old)
-      else if not (covers t ~from:gk_from ~until:gk_until) then
-        Future.return (Message.Reject Error.Wrong_shard)
-      else if gk_version < incoming_floor_range t ~from:gk_from ~until:gk_until then
-        Future.return (Message.Reject Error.Transaction_too_old)
-      else begin
-        let need = max 1 gk_need in
-        let rows, _ =
-          if gk_reverse then
-            let until = if gk_start < gk_until then gk_start else gk_until in
-            range_read_reverse t gk_version ~from:gk_from ~until ~limit:need
-              ~byte_limit:max_int
-          else
-            let from = if gk_start > gk_from then gk_start else gk_from in
-            range_read t gk_version ~from ~until:gk_until ~limit:need ~byte_limit:max_int
-        in
-        let* () =
-          Engine.cpu t.proc
-            (Params.cpu
-               (Params.storage_per_point_read
-               +. (Params.storage_per_range_key *. float_of_int (List.length rows))))
-        in
-        let seen = List.length rows in
-        if seen >= need then
-          Future.return
-            (Message.Storage_get_key_reply
-               { kr_key = Some (fst (List.nth rows (need - 1))); kr_seen = seen })
-        else Future.return (Message.Storage_get_key_reply { kr_key = None; kr_seen = seen })
-      end
   | Message.Ss_recover { sr_epoch; sr_rv; sr_history; sr_logs } ->
       adopt t ~epoch:sr_epoch ~rv:sr_rv ~history:sr_history ~logs:sr_logs;
       Future.return (Message.Ss_recover_ack { version = t.version })

@@ -11,8 +11,6 @@ type t = {
   mutable cc : Cluster_controller.t option;
 }
 
-let is_cluster_controller t = t.cc <> None
-
 let role_process t name = Process.create ~name t.host.h_machine
 
 (* Each LogServer gets the machine's dedicated log disk (disk 0), like the

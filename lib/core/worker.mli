@@ -17,5 +17,3 @@ type t
 val create : Context.t -> host -> machine_id:int -> t
 (** Build the worker process on the host and start it (must run inside a
     simulation). The returned handle is mainly for tests. *)
-
-val is_cluster_controller : t -> bool

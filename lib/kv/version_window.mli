@@ -36,10 +36,6 @@ val last_change : ?floor:int64 -> t -> string -> int64 option
     such event. Watch registration uses this for catch-up: a watcher at
     version [w] with [last_change > w] already missed its change. *)
 
-val cleared_ranges_at : ?floor:int64 -> t -> int64 -> (string * string) list
-(** Range clears visible at the version (to mask persistent-store keys),
-    excluding those at versions <= [floor]. *)
-
 val pop_through : t -> int64 -> Mutation.t list
 (** Remove and return the chronological prefix of mutations with version <=
     the argument, in application order — the batch that graduates to the

@@ -1,9 +1,8 @@
 (* Typed metrics registry: the cluster-wide metrics plane (paper §2.3.1 /
    `fdbcli status`). Every role registers counters, gauges, and log-bucketed
    latency histograms keyed by (role, process, metric). Handles are obtained
-   once at role creation and updated on the hot path without hashing; when the
-   registry is disabled every handle is a no-op constant, so instrumentation
-   costs nothing.
+   once at role creation and updated on the hot path without hashing: a
+   handle is the registry's cell itself.
 
    All sampling runs on simulated time from the seeded RNG, so a serialized
    dump of the registry is bit-identical across reruns of the same seed —
@@ -49,56 +48,48 @@ type cell =
   | Gauge_cell of float ref
   | Hist_cell of Histogram.t
 
-type t = { enabled : bool; cells : (key, cell) Det_tbl.t }
+type t = { cells : (key, cell) Det_tbl.t }
 
-let create ?(enabled = true) () = { enabled; cells = Det_tbl.create ~size:256 () }
-let is_enabled t = t.enabled
-let clear t = Det_tbl.reset t.cells
+let create () = { cells = Det_tbl.create ~size:256 () }
 
 (* ---------- write-side handles ---------- *)
 
-type counter = No_counter | Counter of int ref
-type gauge = No_gauge | Gauge of float ref
-type timer = No_timer | Timer of Histogram.t
+type counter = int ref
+type gauge = float ref
+type timer = Histogram.t
 
 let find_or_add t key make = Det_tbl.find_or_add t.cells key make
 
-let counter t ~role ~process name =
-  if not t.enabled then No_counter
-  else
-    match
-      find_or_add t
-        { k_role = role; k_process = process; k_metric = name }
-        (fun () -> Counter_cell (ref 0))
-    with
-    | Counter_cell r -> Counter r
-    | _ -> invalid_arg ("Fdb_obs: metric is not a counter: " ^ name)
+let counter t ~role ~process name : counter =
+  match
+    find_or_add t
+      { k_role = role; k_process = process; k_metric = name }
+      (fun () -> Counter_cell (ref 0))
+  with
+  | Counter_cell r -> r
+  | _ -> invalid_arg ("Fdb_obs: metric is not a counter: " ^ name)
 
-let gauge t ~role ~process name =
-  if not t.enabled then No_gauge
-  else
-    match
-      find_or_add t
-        { k_role = role; k_process = process; k_metric = name }
-        (fun () -> Gauge_cell (ref 0.0))
-    with
-    | Gauge_cell r -> Gauge r
-    | _ -> invalid_arg ("Fdb_obs: metric is not a gauge: " ^ name)
+let gauge t ~role ~process name : gauge =
+  match
+    find_or_add t
+      { k_role = role; k_process = process; k_metric = name }
+      (fun () -> Gauge_cell (ref 0.0))
+  with
+  | Gauge_cell r -> r
+  | _ -> invalid_arg ("Fdb_obs: metric is not a gauge: " ^ name)
 
-let histogram t ~role ~process name =
-  if not t.enabled then No_timer
-  else
-    match
-      find_or_add t
-        { k_role = role; k_process = process; k_metric = name }
-        (fun () -> Hist_cell (Histogram.create ()))
-    with
-    | Hist_cell h -> Timer h
-    | _ -> invalid_arg ("Fdb_obs: metric is not a histogram: " ^ name)
+let histogram t ~role ~process name : timer =
+  match
+    find_or_add t
+      { k_role = role; k_process = process; k_metric = name }
+      (fun () -> Hist_cell (Histogram.create ()))
+  with
+  | Hist_cell h -> h
+  | _ -> invalid_arg ("Fdb_obs: metric is not a histogram: " ^ name)
 
-let incr ?(by = 1) c = match c with No_counter -> () | Counter r -> r := !r + by
-let set_gauge g v = match g with No_gauge -> () | Gauge r -> r := v
-let observe h v = match h with No_timer -> () | Timer hist -> Histogram.add hist v
+let incr ?(by = 1) (c : counter) = c := !c + by
+let set_gauge (g : gauge) v = g := v
+let observe (h : timer) v = Histogram.add h v
 
 (* ---------- read side ---------- *)
 

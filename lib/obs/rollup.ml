@@ -156,14 +156,13 @@ let stop t = t.alive <- false
 
 let start ?(interval = 1.0) reg =
   let t = { reg; interval; latest = None; alive = true } in
-  if Registry.is_enabled reg then
-    Engine.spawn "obs-rollup" (fun () ->
-        let rec loop () =
-          if not t.alive then Future.return ()
-          else
-            let* () = Engine.sleep t.interval in
-            t.latest <- Some (snapshot ~now:(Engine.now ()) t.reg);
-            loop ()
-        in
-        loop ());
+  Engine.spawn "obs-rollup" (fun () ->
+      let rec loop () =
+        if not t.alive then Future.return ()
+        else
+          let* () = Engine.sleep t.interval in
+          t.latest <- Some (snapshot ~now:(Engine.now ()) t.reg);
+          loop ()
+      in
+      loop ());
   t

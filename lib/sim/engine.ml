@@ -151,8 +151,6 @@ let with_process p f =
   e.proc_ctx <- Some p;
   Fun.protect ~finally:(fun () -> e.proc_ctx <- saved) f
 
-let current_process () = (get ()).proc_ctx
-
 let sleep dt =
   let fut, promise = Future.make () in
   schedule ~after:dt (fun () -> Future.fulfill promise ());

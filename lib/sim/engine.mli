@@ -78,8 +78,6 @@ val with_process : Process.t -> (unit -> 'a) -> 'a
 (** Run [f] with the current-process context set (tasks scheduled inside
     are owned by that process). *)
 
-val current_process : unit -> Process.t option
-
 val cpu : Process.t -> float -> unit Future.t
 (** [cpu p dt] models [dt] seconds of CPU work on [p]'s core: an FCFS
     queue — the future resolves once all previously queued work plus [dt]

@@ -28,20 +28,6 @@ let default =
     clog_duration = 2.0;
   }
 
-let calm =
-  {
-    duration = 0.0;
-    kill_mean_interval = 0.0;
-    reboot_min = 0.0;
-    reboot_max = 0.0;
-    rack_kill_prob = 0.0;
-    dc_kill_prob = 0.0;
-    partition_mean_interval = 0.0;
-    partition_duration = 0.0;
-    clog_mean_interval = 0.0;
-    clog_duration = 0.0;
-  }
-
 let kill_machine (m : Process.machine) =
   Trace.emit "fault_kill_machine" [ ("machine", string_of_int m.Process.machine_id) ];
   List.iter Engine.kill m.Process.machine_processes
@@ -153,7 +139,6 @@ let run ~net ~machines ?(protect = fun _ -> false) cfg =
   (* Heal the world so recoverability checks can run. *)
   Array.iter
     (fun m ->
-      Network.unisolate_machine net m.Process.machine_id;
       List.iter
         (fun p -> if not p.Process.alive then Engine.reboot p ~delay:0.1 ())
         m.Process.machine_processes)

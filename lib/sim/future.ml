@@ -199,8 +199,6 @@ let join2 a b =
 
 exception Any_empty
 
-let any_exn = Any_empty
-
 let race_loser_exn = Cancelled "future.race loser"
 
 (* The winner's resolution cancels every still-pending loser with

@@ -86,9 +86,6 @@ val race : 'a t list -> 'a t
     each) instead of being left pending forever — a pending loser is a
     leaked wakeup the lifecycle sanitizer would report at simulation end. *)
 
-val any_exn : exn
-(** Exception used by {!race} on an empty list. *)
-
 val race_loser_exn : exn
 (** The {!Cancelled} value delivered to {!race} losers. *)
 

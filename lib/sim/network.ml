@@ -8,7 +8,6 @@ type 'm t = {
   rng : Rng.t;
   dc_latency : (string * string, float) Hashtbl.t;
   partitions : (int * int, unit) Hashtbl.t;
-  isolated : (int, unit) Hashtbl.t;
   clogged : (int, float) Hashtbl.t;
   handlers : (endpoint, 'm handler) Hashtbl.t;
   pending : (int, 'm Future.promise * Engine.timer) Hashtbl.t;
@@ -26,7 +25,6 @@ let create ?(loss_prob = 0.0) ?seed_rng () =
     rng;
     dc_latency = Hashtbl.create 8;
     partitions = Hashtbl.create 8;
-    isolated = Hashtbl.create 8;
     clogged = Hashtbl.create 8;
     handlers = Hashtbl.create 64;
     pending = Hashtbl.create 64;
@@ -42,8 +40,6 @@ let set_dc_latency t a b l =
 
 let partition t ~from ~to_ = Hashtbl.replace t.partitions (from, to_) ()
 let heal t ~from ~to_ = Hashtbl.remove t.partitions (from, to_)
-let isolate_machine t m = Hashtbl.replace t.isolated m ()
-let unisolate_machine t m = Hashtbl.remove t.isolated m
 let clog_machine t m until = Hashtbl.replace t.clogged m until
 let set_loss_prob t p = t.loss_prob <- p
 
@@ -74,15 +70,10 @@ let clog_delay t machine_id =
       if d > 0.0 then d else 0.0
   | None -> 0.0
 
-let blocked t src_m dst_m =
-  Hashtbl.mem t.partitions (src_m, dst_m)
-  || Hashtbl.mem t.isolated src_m
-  || Hashtbl.mem t.isolated dst_m
-
 (* Compute delivery delay; None if the message is dropped. *)
 let route t ~(src : Process.machine) ~(dst : Process.machine) ~bytes =
   t.sent <- t.sent + 1;
-  if blocked t src.Process.machine_id dst.Process.machine_id then None
+  if Hashtbl.mem t.partitions (src.Process.machine_id, dst.Process.machine_id) then None
   else if Rng.chance t.rng t.loss_prob then None
   else begin
     let base = base_latency t src dst in

@@ -28,10 +28,6 @@ val partition : 'm t -> from:int -> to_:int -> unit
 (** Block messages from machine [from] to machine [to_] (directed). *)
 
 val heal : 'm t -> from:int -> to_:int -> unit
-val isolate_machine : 'm t -> int -> unit
-(** Block all traffic to and from the machine. *)
-
-val unisolate_machine : 'm t -> int -> unit
 val clog_machine : 'm t -> int -> float -> unit
 (** Delay all traffic touching the machine until the given absolute time. *)
 

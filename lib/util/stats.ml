@@ -30,19 +30,6 @@ let median xs = percentile xs 50.0
 let minimum = function [] -> 0.0 | xs -> List.fold_left Float.min infinity xs
 let maximum = function [] -> 0.0 | xs -> List.fold_left Float.max neg_infinity xs
 
-let moving_average w xs =
-  if w <= 1 then xs
-  else begin
-    let arr = Array.of_list xs in
-    let n = Array.length arr in
-    List.init n (fun i ->
-        let lo = max 0 (i - w + 1) in
-        let sum = ref 0.0 in
-        for j = lo to i do
-          sum := !sum +. arr.(j)
-        done;
-        !sum /. float_of_int (i - lo + 1))
-  end
 
 type counter = { mutable n : int; mutable sum : float }
 

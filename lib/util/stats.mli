@@ -17,9 +17,6 @@ val percentile : series -> float -> float
 val minimum : series -> float
 val maximum : series -> float
 
-val moving_average : int -> series -> series
-(** [moving_average w xs] smooths with a trailing window of [w] samples. *)
-
 type counter = { mutable n : int; mutable sum : float }
 (** A running total, for throughput accounting. *)
 

@@ -64,6 +64,20 @@ let test_golden_checksums () =
         (Printf.sprintf "%016Lx" r.Swarm.trace_checksum))
     golden_checksums
 
+(* The layer read path — Directory's reverse limit-1 reads, Index's range
+   scans — pinned the same way: swarm seed 1 with the layer soak on.
+   Re-baseline from `dune exec bin/fdb_sim.exe -- swarm --seeds 1
+   --duration 10 --layers`. *)
+let golden_layers_checksum = (1L, 0x64d8183c2a7cb473L)
+
+let test_golden_layers_checksum () =
+  let seed, golden = golden_layers_checksum in
+  let r = Swarm.run_one ~buggify:true ~layers:true ~duration:10.0 ~seed () in
+  Alcotest.(check string)
+    (Printf.sprintf "seed %Ld layers trace checksum" seed)
+    (Printf.sprintf "%016Lx" golden)
+    (Printf.sprintf "%016Lx" r.Swarm.trace_checksum)
+
 (* Per-run state belongs to the domain running it, so the golden seeds
    can run side by side on two domains and must still replay exactly. *)
 let test_golden_checksums_on_domains () =
@@ -106,6 +120,7 @@ let suite =
     Alcotest.test_case "double run identical with movement" `Slow
       test_double_run_identical_with_movement;
     Alcotest.test_case "golden swarm checksums" `Quick test_golden_checksums;
+    Alcotest.test_case "golden layers checksum" `Quick test_golden_layers_checksum;
     Alcotest.test_case "golden checksums on two domains" `Quick
       test_golden_checksums_on_domains;
     Alcotest.test_case "distinct seeds distinct streams" `Quick

@@ -55,19 +55,6 @@ let test_kind_mismatch_rejected () =
     (Invalid_argument "Fdb_obs: metric is not a gauge: pushes") (fun () ->
       ignore (Registry.gauge reg ~role:Registry.Log ~process:1 "pushes"))
 
-let test_disabled_is_noop () =
-  let reg = Registry.create ~enabled:false () in
-  let c = Registry.counter reg ~role:Registry.Proxy ~process:1 "commits" in
-  let g = Registry.gauge reg ~role:Registry.Storage ~process:1 "lag" in
-  let h = Registry.histogram reg ~role:Registry.Proxy ~process:1 "grv_latency" in
-  Alcotest.(check bool) "counter handle is constant" true (c = Registry.No_counter);
-  Registry.incr c ~by:100;
-  Registry.set_gauge g 9.0;
-  Registry.observe h 1.0;
-  Alcotest.(check int) "nothing recorded" 0
-    (Registry.counter_value reg ~role:Registry.Proxy ~process:1 "commits");
-  Alcotest.(check string) "serializes empty" "" (Registry.serialize reg)
-
 let test_serialize_canonical_order () =
   let reg = Registry.create () in
   (* Insert in scrambled order; serialization must sort role/process/metric. *)
@@ -196,7 +183,6 @@ let suite =
     Alcotest.test_case "counter semantics" `Quick test_counter_semantics;
     Alcotest.test_case "gauge and histogram semantics" `Quick test_gauge_and_histogram_semantics;
     Alcotest.test_case "kind mismatch rejected" `Quick test_kind_mismatch_rejected;
-    Alcotest.test_case "disabled registry is a no-op" `Quick test_disabled_is_noop;
     Alcotest.test_case "serialize canonical order" `Quick test_serialize_canonical_order;
     Alcotest.test_case "rollup aggregates per role" `Quick test_rollup_aggregates_per_role;
     Alcotest.test_case "rollup json shape" `Quick test_rollup_json_shape;

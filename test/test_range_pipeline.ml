@@ -1,8 +1,8 @@
 (* The range-read pipeline and selector/streaming client API:
 
    - qcheck model tests: key-selector resolution ([Client.get_key]) against
-     a pure sorted-list model, on both the storage path (clean transaction)
-     and the RYW path (buffered sets/clears in the transaction);
+     a pure sorted-list model, in a clean transaction and with buffered
+     sets/clears (RYW), on one shard and across many;
    - qcheck model test: continuation-stitched [Client.range] against a
      reference assoc list, over 8 KiB values so a single scan is forced
      through many stitched 64 KiB batches, RYW merge included;
@@ -83,13 +83,20 @@ let gen_selector_case =
       (list_size (int_range 5 20)
          (triple (int_range 0 199) bool (int_range (-4) 4))))
 
-let qcheck_selector_storage =
-  QCheck.Test.make ~name:"get_key matches selector model (storage path)"
+(* Shard split points every 10 keys inside [rp/]: the keys the selector
+   properties use span eight shards, so walks cross several of them and run
+   off both ends of the key space through the edge shards. *)
+let multi_shard =
+  { Config.test_small with
+    shard_boundaries = List.init 8 (fun i -> key ((i + 1) * 10)) }
+
+let qcheck_selector_storage ?(config = Config.test_small) name =
+  QCheck.Test.make ~name
     ~count:6 (QCheck.make gen_selector_case)
     (fun (present, sels) ->
       let present = List.sort_uniq compare present in
       let sorted = List.map key present in
-      with_cluster (fun cluster ->
+      with_cluster ~config (fun cluster ->
           let db = Cluster.client cluster ~name:"sel" in
           let* () = populate db present in
           Client.run db (fun tx ->
@@ -110,8 +117,8 @@ let qcheck_selector_storage =
               in
               go sels)))
 
-let qcheck_selector_ryw =
-  QCheck.Test.make ~name:"get_key matches selector model (RYW path)" ~count:6
+let qcheck_selector_ryw ?(config = Config.test_small) name =
+  QCheck.Test.make ~name ~count:6
     (QCheck.make
        QCheck.Gen.(
          triple gen_selector_case
@@ -125,7 +132,7 @@ let qcheck_selector_ryw =
         List.filter (fun i -> not (List.mem i clears)) present @ extra
         |> List.sort_uniq compare |> List.map key
       in
-      with_cluster (fun cluster ->
+      with_cluster ~config (fun cluster ->
           let db = Cluster.client cluster ~name:"sel-ryw" in
           let* () = populate db present in
           Client.run db (fun tx ->
@@ -443,10 +450,46 @@ let test_tx_options () =
     [ "too-large"; "timed-out"; "too-large" ]
     r
 
+(* A selector walk is a read: with a 40-byte cap, resolving the 10th key
+   of 11-byte rows must fail, whether or not the transaction has buffered
+   a write elsewhere, while a 3-row walk (33 bytes) still resolves. *)
+let test_get_key_read_byte_cap () =
+  let r =
+    with_cluster ~seed:7L (fun cluster ->
+        let db = Cluster.client cluster ~name:"selcap" in
+        let* () = populate db (List.init 30 Fun.id) in
+        let options = { Client.default_options with opt_max_read_bytes = Some 40 } in
+        let attempt ~buffered offset =
+          Future.catch
+            (fun () ->
+              Client.run db ~options (fun tx ->
+                  if buffered then Client.set tx "zz/elsewhere" "x";
+                  Client.get_key tx
+                    (Client.Key_selector.first_greater_or_equal ~offset "rp/")))
+            (function
+              | Error.Fdb Error.Transaction_too_large -> Future.return "too-large"
+              | e -> Future.fail e)
+        in
+        let* clean_short = attempt ~buffered:false 2 in
+        let* clean_long = attempt ~buffered:false 9 in
+        let* buffered_long = attempt ~buffered:true 9 in
+        Future.return [ clean_short; clean_long; buffered_long ])
+  in
+  Alcotest.(check (list string))
+    "walks over the cap fail" [ key 2; "too-large"; "too-large" ] r
+
 let suite =
   [
-    QCheck_alcotest.to_alcotest qcheck_selector_storage;
-    QCheck_alcotest.to_alcotest qcheck_selector_ryw;
+    QCheck_alcotest.to_alcotest
+      (qcheck_selector_storage "get_key matches selector model (storage path)");
+    QCheck_alcotest.to_alcotest
+      (qcheck_selector_ryw "get_key matches selector model (RYW path)");
+    QCheck_alcotest.to_alcotest
+      (qcheck_selector_storage ~config:multi_shard
+         "get_key matches selector model across shards (clean)");
+    QCheck_alcotest.to_alcotest
+      (qcheck_selector_ryw ~config:multi_shard
+         "get_key matches selector model across shards (RYW)");
     QCheck_alcotest.to_alcotest qcheck_stream_model;
     Alcotest.test_case "tiny byte budget stitches batches" `Quick
       test_stream_stitches_batches;
@@ -455,6 +498,8 @@ let suite =
     Alcotest.test_case "shard move mid-read re-resolves" `Quick
       test_shard_move_mid_read;
     Alcotest.test_case "tx options are enforced" `Quick test_tx_options;
+    Alcotest.test_case "get_key walks count against the read-byte cap" `Quick
+      test_get_key_read_byte_cap;
     Alcotest.test_case "selector walks are read conflicts" `Quick
       test_selector_walk_conflicts;
   ]
