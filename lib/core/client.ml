@@ -224,6 +224,15 @@ let remaining_read_budget t ~want =
       if left <= 0 then raise (Error.Fdb Error.Transaction_too_large)
       else min want left
 
+(* Count bytes fetched from storage against the cap. A storage round
+   always delivers its first row, so a round can cross the cap: the read
+   that crosses it fails. *)
+let charge_read_bytes t n =
+  t.read_bytes <- t.read_bytes + n;
+  match t.options.opt_max_read_bytes with
+  | Some cap when t.read_bytes > cap -> raise (Error.Fdb Error.Transaction_too_large)
+  | _ -> ()
+
 (* ---------- raw storage reads ---------- *)
 
 let bytes_of_rows rows =
@@ -502,7 +511,7 @@ let get ?(snapshot = false) t key =
         let _budget = remaining_read_budget t ~want:1 in
         let* v = storage_get t key version in
         (match v with
-        | Some v -> t.read_bytes <- t.read_bytes + String.length key + String.length v
+        | Some v -> charge_read_bytes t (String.length key + String.length v)
         | None -> ());
         Future.return v
       end
@@ -520,8 +529,8 @@ let read_merged t ~snap:(version, rv_epoch) ~from ~until ~reverse ~row_limit
     ranged_fetch t ~version ~rv_epoch ~from ~until ~reverse ~row_limit ~byte_limit
   in
   let got_bytes = bytes_of_rows storage_rows in
-  t.read_bytes <- t.read_bytes + got_bytes;
   Fdb_obs.Registry.set_gauge t.db.obs_range_bytes (float_of_int got_bytes);
+  charge_read_bytes t got_bytes;
   (* The observed span: what the storage result is authoritative for. *)
   let span_lo, span_hi =
     if drained then (from, until)

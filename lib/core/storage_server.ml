@@ -412,12 +412,7 @@ let publish_stats t =
 let publish_shard_sizes t =
   List.iter
     (fun (lo, hi) ->
-      let bytes =
-        List.fold_left
-          (fun a (k, v) -> a + String.length k + String.length v)
-          0
-          (Pstore.get_range t.pstore ~from:lo ~until:hi ())
-      in
+      let bytes = Pstore.range_bytes t.pstore ~from:lo ~until:hi in
       let g =
         Fdb_util.Det_tbl.find_or_add t.shard_size_gauges lo (fun () ->
             Fdb_obs.Registry.gauge t.ctx.Context.metrics ~role:Fdb_obs.Registry.Storage

@@ -98,6 +98,14 @@ let get_range t ?(limit = max_int) ~from ~until () =
    with Exit -> ());
   List.rev !out
 
+let range_bytes t ~from ~until =
+  if from >= until then 0
+  else begin
+    let _, at_from, above = KeyMap.split from t.map in
+    let inside, _, _ = KeyMap.split until above in
+    recompute_bytes (match at_from with Some v -> KeyMap.add from v inside | None -> inside)
+  end
+
 let prev_entry t ~before =
   KeyMap.find_last_opt (fun k -> k < before) t.map
 

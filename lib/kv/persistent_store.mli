@@ -23,6 +23,10 @@ val get : t -> string -> string option
 val get_range : t -> ?limit:int -> from:string -> until:string -> unit -> (string * string) list
 (** Ascending entries with [from <= key < until], at most [limit]. *)
 
+val range_bytes : t -> from:string -> until:string -> int
+(** Sum of key+value lengths over the entries with [from <= key < until],
+    without materializing them. *)
+
 val prev_entry : t -> before:string -> (string * string) option
 (** Greatest entry with key < [before] (reverse iteration support). *)
 

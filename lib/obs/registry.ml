@@ -9,11 +9,10 @@
    the metrics plane doubles as a determinism oracle for the swarm. *)
 
 module Histogram = Fdb_util.Histogram
-module Det_tbl = Fdb_util.Det_tbl
 
-(* [Data_distributor] is appended after [Client] so the polymorphic-compare
-   key order of every pre-existing role (and thus serialized dumps of runs
-   that never recruit a DD metric) is unchanged. *)
+(* [Data_distributor] is appended after [Client] so the key order of every
+   pre-existing role (and thus serialized dumps of runs that never recruit
+   a DD metric) is unchanged. *)
 type role =
   | Proxy
   | Resolver
@@ -37,20 +36,70 @@ let role_name = function
 let all_roles =
   [ Proxy; Resolver; Log; Storage; Ratekeeper; Sequencer; Client; Data_distributor ]
 
-(* Field order matters: polymorphic compare on [key] orders by role (in
-   constructor-declaration order, which matches [all_roles]), then process,
-   then metric name — the canonical order every dump uses, supplied for
-   free by Det_tbl's key-sorted enumeration. *)
+let role_rank = function
+  | Proxy -> 0
+  | Resolver -> 1
+  | Log -> 2
+  | Storage -> 3
+  | Ratekeeper -> 4
+  | Sequencer -> 5
+  | Client -> 6
+  | Data_distributor -> 7
+
+(* The canonical order every dump uses: role (in constructor-declaration
+   order, which matches [all_roles]), then process, then metric name —
+   the order polymorphic compare gives [key]. *)
 type key = { k_role : role; k_process : int; k_metric : string }
+
+let compare_key a b =
+  let c = Int.compare (role_rank a.k_role) (role_rank b.k_role) in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.k_process b.k_process in
+    if c <> 0 then c else String.compare a.k_metric b.k_metric
+
+module Key_map = Map.Make (struct
+  type t = key
+
+  let compare = compare_key
+end)
+
+(* (role, metric) in role order, then metric name. *)
+module Group_map = Map.Make (struct
+  type t = role * string
+
+  let compare (r, m) (r', m') =
+    let c = Int.compare (role_rank r) (role_rank r') in
+    if c <> 0 then c else String.compare m m'
+end)
 
 type cell =
   | Counter_cell of int ref
   | Gauge_cell of float ref
   | Hist_cell of Histogram.t
 
-type t = { cells : (key, cell) Det_tbl.t }
+(* Reads are periodic (Ratekeeper, roll-ups, status, samplers) and
+   registration is rare, so registration keeps everything a read needs:
+   [cells] in canonical order, each (role, metric)'s cells in ascending
+   process order in [groups], and the distinct processes per role in
+   [role_processes]. The two lists readers walk, [entries] and [groups],
+   are cached until the next registration. *)
+type t = {
+  mutable cells : cell Key_map.t;
+  mutable groups : (int * cell) list Group_map.t;
+  role_processes : int array; (* by [role_rank] *)
+  mutable entries_cache : (key * cell) list option;
+  mutable groups_cache : (role * string * (int * cell) list) list option;
+}
 
-let create () = { cells = Det_tbl.create ~size:256 () }
+let create () =
+  {
+    cells = Key_map.empty;
+    groups = Group_map.empty;
+    role_processes = Array.make (List.length all_roles) 0;
+    entries_cache = None;
+    groups_cache = None;
+  }
 
 (* ---------- write-side handles ---------- *)
 
@@ -58,7 +107,37 @@ type counter = int ref
 type gauge = float ref
 type timer = Histogram.t
 
-let find_or_add t key make = Det_tbl.find_or_add t.cells key make
+let rec insert_by_process p cell = function
+  | (q, _) :: _ as l when p < q -> (p, cell) :: l
+  | x :: rest -> x :: insert_by_process p cell rest
+  | [] -> [ (p, cell) ]
+
+let register t key cell =
+  (* The first cell of (role, process) sorts first among its keys. *)
+  let first_of_process =
+    match Key_map.find_first_opt (fun k -> compare_key k { key with k_metric = "" } >= 0) t.cells with
+    | Some (k, _) -> k.k_role <> key.k_role || k.k_process <> key.k_process
+    | None -> true
+  in
+  if first_of_process then begin
+    let r = role_rank key.k_role in
+    t.role_processes.(r) <- t.role_processes.(r) + 1
+  end;
+  t.cells <- Key_map.add key cell t.cells;
+  t.groups <-
+    Group_map.update (key.k_role, key.k_metric)
+      (fun g -> Some (insert_by_process key.k_process cell (Option.value ~default:[] g)))
+      t.groups;
+  t.entries_cache <- None;
+  t.groups_cache <- None
+
+let find_or_add t key make =
+  match Key_map.find_opt key t.cells with
+  | Some cell -> cell
+  | None ->
+      let cell = make () in
+      register t key cell;
+      cell
 
 let counter t ~role ~process name : counter =
   match
@@ -94,25 +173,20 @@ let observe (h : timer) v = Histogram.add h v
 (* ---------- read side ---------- *)
 
 let counter_value t ~role ~process name =
-  match Det_tbl.find_opt t.cells { k_role = role; k_process = process; k_metric = name } with
+  match Key_map.find_opt { k_role = role; k_process = process; k_metric = name } t.cells with
   | Some (Counter_cell r) -> !r
   | _ -> 0
 
 let gauge_value t ~role ~process name =
-  match Det_tbl.find_opt t.cells { k_role = role; k_process = process; k_metric = name } with
+  match Key_map.find_opt { k_role = role; k_process = process; k_metric = name } t.cells with
   | Some (Gauge_cell r) -> Some !r
   | _ -> None
 
-(* Det_tbl folds in ascending key order; within a fixed (role, metric) that
-   is ascending process id, so consing + rev is already sorted. *)
+(* One lookup: the group is already in ascending process order. *)
 let by_process t ~role name pick =
-  Det_tbl.fold
-    (fun k cell acc ->
-      if k.k_role = role && k.k_metric = name then
-        match pick cell with Some v -> (k.k_process, v) :: acc | None -> acc
-      else acc)
-    t.cells []
-  |> List.rev
+  match Group_map.find_opt (role, name) t.groups with
+  | None -> []
+  | Some g -> List.filter_map (fun (p, cell) -> Option.map (fun v -> (p, v)) (pick cell)) g
 
 let counters t ~role name =
   by_process t ~role name (function Counter_cell r -> Some !r | _ -> None)
@@ -124,12 +198,33 @@ let histograms t ~role name =
   by_process t ~role name (function Hist_cell h -> Some h | _ -> None)
 
 let sum_counter t ~role name =
-  List.fold_left (fun acc (_, v) -> acc + v) 0 (counters t ~role name)
+  match Group_map.find_opt (role, name) t.groups with
+  | None -> 0
+  | Some g ->
+      List.fold_left (fun acc (_, cell) -> match cell with Counter_cell r -> acc + !r | _ -> acc) 0 g
 
-(* All cells, in the canonical (role, process, metric) order — exactly
-   Det_tbl's key order on [key]. Histograms are returned by reference:
-   readers must treat them as read-only. *)
-let entries t = Det_tbl.to_sorted_list t.cells
+(* All cells, in the canonical (role, process, metric) order. Histograms
+   are returned by reference: readers must treat them as read-only. *)
+let entries t =
+  match t.entries_cache with
+  | Some l -> l
+  | None ->
+      let l = Key_map.bindings t.cells in
+      t.entries_cache <- Some l;
+      l
+
+(* Every (role, metric) with its cells in ascending process order, the
+   groups in (role, metric) order: what a per-role roll-up walks. *)
+let groups t =
+  match t.groups_cache with
+  | Some l -> l
+  | None ->
+      let l = List.map (fun ((role, name), g) -> (role, name, g)) (Group_map.bindings t.groups) in
+      t.groups_cache <- Some l;
+      l
+
+(* Distinct processes that registered at least one cell under [role]. *)
+let process_count t role = t.role_processes.(role_rank role)
 
 (* ---------- deterministic serialization ---------- *)
 

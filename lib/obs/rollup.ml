@@ -7,7 +7,6 @@
 open Fdb_sim
 open Future.Syntax
 module Histogram = Fdb_util.Histogram
-module Det_tbl = Fdb_util.Det_tbl
 
 type lat = {
   l_count : int;
@@ -36,54 +35,59 @@ let lat_of_hist h =
     l_max = Histogram.max_value h;
   }
 
+(* One (role, metric) group's cells, ascending process, folded into the
+   role document's three lists (each built in reverse metric order). A
+   metric name registered as more than one kind shows under each kind. *)
+let add_group (counters, gauges, hists) (name, cells) =
+  let sum = ref None and range = ref None and merged = ref None in
+  List.iter
+    (fun (_, cell) ->
+      match cell with
+      | Registry.Counter_cell r -> sum := Some (Option.value ~default:0 !sum + !r)
+      | Registry.Gauge_cell r ->
+          range :=
+            Some
+              (match !range with
+              | Some (lo, hi) -> (Float.min lo !r, Float.max hi !r)
+              | None -> (!r, !r))
+      | Registry.Hist_cell h ->
+          let dst =
+            match !merged with
+            | Some dst -> dst
+            | None ->
+                let dst = Histogram.create () in
+                merged := Some dst;
+                dst
+          in
+          Histogram.merge_into ~dst h)
+    cells;
+  let cons acc = function Some v -> (name, v) :: acc | None -> acc in
+  (cons counters !sum, cons gauges !range, cons hists (Option.map lat_of_hist !merged))
+
+let role_doc reg role groups =
+  let counters, gauges, latencies = List.fold_left add_group ([], [], []) groups in
+  {
+    rd_role = Registry.role_name role;
+    rd_processes = Registry.process_count reg role;
+    rd_counters = List.rev counters;
+    rd_gauges = List.rev gauges;
+    rd_latencies = List.rev latencies;
+  }
+
+(* The registry's groups come in (role, metric) order, so one pass cuts
+   them into per-role runs that are already sorted by metric name. *)
 let snapshot ~now (reg : Registry.t) : doc =
-  let all_entries = Registry.entries reg in
-  let roles =
-    List.filter_map
-      (fun role ->
-        (* Det_tbl accumulators: enumeration comes out sorted by metric
-           name, so the document needs no ad-hoc post-sorts. *)
-        let procs : (int, unit) Det_tbl.t = Det_tbl.create () in
-        let counters : (string, int) Det_tbl.t = Det_tbl.create () in
-        let gauges : (string, float * float) Det_tbl.t = Det_tbl.create () in
-        let hists : (string, Histogram.t) Det_tbl.t = Det_tbl.create () in
-        List.iter
-          (fun ((k : Registry.key), cell) ->
-            if k.Registry.k_role = role then begin
-              Det_tbl.replace procs k.Registry.k_process ();
-              let name = k.Registry.k_metric in
-              match cell with
-              | Registry.Counter_cell r ->
-                  let sum =
-                    match Det_tbl.find_opt counters name with Some s -> s | None -> 0
-                  in
-                  Det_tbl.replace counters name (sum + !r)
-              | Registry.Gauge_cell r ->
-                  let lo, hi =
-                    match Det_tbl.find_opt gauges name with
-                    | Some (lo, hi) -> (Float.min lo !r, Float.max hi !r)
-                    | None -> (!r, !r)
-                  in
-                  Det_tbl.replace gauges name (lo, hi)
-              | Registry.Hist_cell h ->
-                  let dst = Det_tbl.find_or_add hists name Histogram.create in
-                  Histogram.merge_into ~dst h
-            end)
-          all_entries;
-        if Det_tbl.length procs = 0 then None
-        else
-          Some
-            {
-              rd_role = Registry.role_name role;
-              rd_processes = Det_tbl.length procs;
-              rd_counters = Det_tbl.to_sorted_list counters;
-              rd_gauges = Det_tbl.to_sorted_list gauges;
-              rd_latencies =
-                List.map (fun (n, h) -> (n, lat_of_hist h)) (Det_tbl.to_sorted_list hists);
-            })
-      Registry.all_roles
+  let rec roles acc = function
+    | [] -> List.rev acc
+    | (role, _, _) :: _ as l ->
+        let rec take run = function
+          | (r, name, cells) :: rest when r = role -> take ((name, cells) :: run) rest
+          | rest -> (List.rev run, rest)
+        in
+        let run, rest = take [] l in
+        roles (role_doc reg role run :: acc) rest
   in
-  { d_time = now; d_roles = roles }
+  { d_time = now; d_roles = roles [] (Registry.groups reg) }
 
 (* ---------- JSON ---------- *)
 

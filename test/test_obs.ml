@@ -142,6 +142,178 @@ let test_rollup_actor_updates () =
       Alcotest.(check int) "one role" 1 (List.length doc.Rollup.d_roles)
   | None -> Alcotest.fail "roll-up actor produced no document"
 
+(* ---------- the index against the sort-everything reference ---------- *)
+
+(* The reference reads the registry the way it did before the (role,
+   metric) index: sort every cell by its key, then filter. It sees only
+   the (key, cell) pairs the test registered. *)
+module Reference = struct
+  module Det_tbl = Fdb_util.Det_tbl
+  module Histogram = Fdb_util.Histogram
+
+  let entries cells = List.sort (fun (a, _) (b, _) -> compare a b) cells
+
+  let by_process cells ~role name pick =
+    List.filter_map
+      (fun ((k : Registry.key), cell) ->
+        if k.Registry.k_role = role && k.Registry.k_metric = name then
+          Option.map (fun v -> (k.Registry.k_process, v)) (pick cell)
+        else None)
+      (entries cells)
+
+  let serialize cells =
+    String.concat ""
+      (List.map
+         (fun ((k : Registry.key), cell) ->
+           Printf.sprintf "%s/%d/%s %s\n" (Registry.role_name k.Registry.k_role)
+             k.Registry.k_process k.Registry.k_metric (Registry.render_cell cell))
+         (entries cells))
+
+  let snapshot ~now cells : Rollup.doc =
+    let all = entries cells in
+    let roles =
+      List.filter_map
+        (fun role ->
+          let procs : (int, unit) Det_tbl.t = Det_tbl.create () in
+          let counters : (string, int) Det_tbl.t = Det_tbl.create () in
+          let gauges : (string, float * float) Det_tbl.t = Det_tbl.create () in
+          let hists : (string, Histogram.t) Det_tbl.t = Det_tbl.create () in
+          List.iter
+            (fun ((k : Registry.key), cell) ->
+              if k.Registry.k_role = role then begin
+                Det_tbl.replace procs k.Registry.k_process ();
+                let name = k.Registry.k_metric in
+                match cell with
+                | Registry.Counter_cell r ->
+                    let sum = Option.value ~default:0 (Det_tbl.find_opt counters name) in
+                    Det_tbl.replace counters name (sum + !r)
+                | Registry.Gauge_cell r ->
+                    Det_tbl.replace gauges name
+                      (match Det_tbl.find_opt gauges name with
+                      | Some (lo, hi) -> (Float.min lo !r, Float.max hi !r)
+                      | None -> (!r, !r))
+                | Registry.Hist_cell h ->
+                    Histogram.merge_into ~dst:(Det_tbl.find_or_add hists name Histogram.create) h
+              end)
+            all;
+          if Det_tbl.length procs = 0 then None
+          else
+            Some
+              {
+                Rollup.rd_role = Registry.role_name role;
+                rd_processes = Det_tbl.length procs;
+                rd_counters = Det_tbl.to_sorted_list counters;
+                rd_gauges = Det_tbl.to_sorted_list gauges;
+                rd_latencies =
+                  List.map (fun (n, h) -> (n, Rollup.lat_of_hist h)) (Det_tbl.to_sorted_list hists);
+              })
+        Registry.all_roles
+    in
+    { Rollup.d_time = now; d_roles = roles }
+end
+
+type obs_op =
+  | Register of int * Registry.role * int * string * float (* kind 0..2, role, process, metric, sample *)
+  | Read
+
+let metric_pool = [ "a"; "b"; "lat"; "lag"; "shard_size_bytes:00"; "shard_size_bytes:ff" ]
+
+let gen_obs_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 80)
+      (frequency
+         [
+           ( 5,
+             map
+               (fun ((kind, role), (process, metric, v)) -> Register (kind, role, process, metric, v))
+               (pair
+                  (pair (int_range 0 2) (oneofl Registry.all_roles))
+                  (triple (int_range 0 9) (oneofl metric_pool) (float_range (-1.0) 5.0))) );
+           (1, return Read);
+         ]))
+
+let print_obs_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | Register (kind, role, p, m, v) ->
+             Printf.sprintf "reg(%d,%s,%d,%s,%g)" kind (Registry.role_name role) p m v
+         | Read -> "read")
+       ops)
+
+(* Registrations (all three kinds, any role, process and metric, in random
+   order) interleaved with reads: every read must equal the reference,
+   so each registration must also drop the cached orders. *)
+let qcheck_index_matches_reference =
+  QCheck.Test.make ~name:"registry index matches the sort-everything reference" ~count:300
+    (QCheck.make ~print:print_obs_ops gen_obs_ops)
+    (fun ops ->
+      let reg = Registry.create () in
+      let cells = ref [] in
+      let remember key cell =
+        if not (List.mem_assoc key !cells) then cells := (key, cell) :: !cells
+      in
+      let agree () =
+        let cells = !cells in
+        let same_hists a b =
+          List.length a = List.length b && List.for_all2 (fun (p, h) (q, h') -> p = q && h == h') a b
+        in
+        List.for_all
+          (fun role ->
+            List.for_all
+              (fun m ->
+                let pick_c = function Registry.Counter_cell r -> Some !r | _ -> None in
+                let pick_g = function Registry.Gauge_cell r -> Some !r | _ -> None in
+                let pick_h = function Registry.Hist_cell h -> Some h | _ -> None in
+                let ref_counters = Reference.by_process cells ~role m pick_c in
+                Registry.counters reg ~role m = ref_counters
+                && Registry.gauges reg ~role m = Reference.by_process cells ~role m pick_g
+                && same_hists (Registry.histograms reg ~role m)
+                     (Reference.by_process cells ~role m pick_h)
+                && Registry.sum_counter reg ~role m
+                   = List.fold_left (fun acc (_, v) -> acc + v) 0 ref_counters)
+              metric_pool)
+          Registry.all_roles
+        && List.length (Registry.entries reg) = List.length cells
+        && List.for_all2
+             (fun (k, c) (k', c') ->
+               k = k'
+               &&
+               match (c, c') with
+               | Registry.Counter_cell r, Registry.Counter_cell r' -> r == r'
+               | Registry.Gauge_cell r, Registry.Gauge_cell r' -> r == r'
+               | Registry.Hist_cell h, Registry.Hist_cell h' -> h == h'
+               | _ -> false)
+             (Registry.entries reg) (Reference.entries cells)
+        && Registry.serialize reg = Reference.serialize cells
+        && Rollup.json_of_doc (Rollup.snapshot ~now:1.5 reg)
+           = Rollup.json_of_doc (Reference.snapshot ~now:1.5 cells)
+      in
+      List.for_all
+        (function
+          | Read -> agree ()
+          | Register (kind, role, process, metric, v) ->
+              let key = { Registry.k_role = role; k_process = process; k_metric = metric } in
+              (* A name already registered as another kind is rejected. *)
+              (try
+                 match kind with
+                 | 0 ->
+                     let c = Registry.counter reg ~role ~process metric in
+                     Registry.incr c ~by:(int_of_float (v *. 10.0));
+                     remember key (Registry.Counter_cell c)
+                 | 1 ->
+                     let g = Registry.gauge reg ~role ~process metric in
+                     Registry.set_gauge g v;
+                     remember key (Registry.Gauge_cell g)
+                 | _ ->
+                     let h = Registry.histogram reg ~role ~process metric in
+                     Registry.observe h (v /. 100.0);
+                     remember key (Registry.Hist_cell h)
+               with Invalid_argument _ -> ());
+              true)
+        ops
+      && agree ())
+
 (* ---------- determinism oracle ---------- *)
 
 (* Boot a full cluster, run a fixed workload, and dump the entire metrics
@@ -187,5 +359,6 @@ let suite =
     Alcotest.test_case "rollup aggregates per role" `Quick test_rollup_aggregates_per_role;
     Alcotest.test_case "rollup json shape" `Quick test_rollup_json_shape;
     Alcotest.test_case "rollup actor updates" `Quick test_rollup_actor_updates;
+    QCheck_alcotest.to_alcotest qcheck_index_matches_reference;
     Alcotest.test_case "metrics dump deterministic" `Slow test_determinism_same_seed;
   ]

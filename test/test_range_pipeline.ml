@@ -478,6 +478,43 @@ let test_get_key_read_byte_cap () =
   Alcotest.(check (list string))
     "walks over the cap fail" [ key 2; "too-large"; "too-large" ] r
 
+(* The read that crosses the cap fails even though the storage round
+   delivered it: a 4-row walk (44 bytes) and a fourth point read (44
+   bytes) under a 40-byte cap, while 3 rows (33 bytes) still succeed. *)
+let test_read_crossing_cap_fails () =
+  let r =
+    with_cluster ~seed:7L (fun cluster ->
+        let db = Cluster.client cluster ~name:"overshoot" in
+        let* () = populate db (List.init 30 Fun.id) in
+        let options = { Client.default_options with opt_max_read_bytes = Some 40 } in
+        let attempt body =
+          Future.catch
+            (fun () -> Client.run db ~options body)
+            (function
+              | Error.Fdb Error.Transaction_too_large -> Future.return "too-large"
+              | e -> Future.fail e)
+        in
+        let walk offset tx =
+          Client.get_key tx (Client.Key_selector.first_greater_or_equal ~offset "rp/")
+        in
+        let gets n tx =
+          let rec go i =
+            if i >= n then Future.return (key (n - 1))
+            else
+              let* _ = Client.get tx (key i) in
+              go (i + 1)
+          in
+          go 0
+        in
+        let* walk3 = attempt (walk 2) in
+        let* walk4 = attempt (walk 3) in
+        let* gets3 = attempt (gets 3) in
+        let* gets4 = attempt (gets 4) in
+        Future.return [ walk3; walk4; gets3; gets4 ])
+  in
+  Alcotest.(check (list string))
+    "crossing the cap fails" [ key 2; "too-large"; key 2; "too-large" ] r
+
 let suite =
   [
     QCheck_alcotest.to_alcotest
@@ -500,6 +537,8 @@ let suite =
     Alcotest.test_case "tx options are enforced" `Quick test_tx_options;
     Alcotest.test_case "get_key walks count against the read-byte cap" `Quick
       test_get_key_read_byte_cap;
+    Alcotest.test_case "a read crossing the read-byte cap fails" `Quick
+      test_read_crossing_cap_fails;
     Alcotest.test_case "selector walks are read conflicts" `Quick
       test_selector_walk_conflicts;
   ]

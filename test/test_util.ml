@@ -152,6 +152,58 @@ let qcheck_merge_associative =
       && Float.abs (Histogram.total l -. Histogram.total r)
          <= 1e-9 *. (1.0 +. Float.abs (Histogram.total l)))
 
+(* The bucket layout spelled out: index round(log_1.02 (v / 1e-9)) of the
+   clamped sample, upper bound 1e-9 * 1.02^i, buckets walked in index
+   order. Samples span 1e-10 .. 1e5 and two histograms are merged, so the
+   dense array must grow at both ends and align on merge. *)
+let reference_buckets samples =
+  let index v =
+    let v = if v <= 1e-9 then 1e-9 else v in
+    int_of_float (Float.round (log (v /. 1e-9) /. log 1.02))
+  in
+  List.fold_left
+    (fun m v -> Det_tbl.replace m (index v) (1 + Option.value ~default:0 (Det_tbl.find_opt m (index v))); m)
+    (Det_tbl.create ()) samples
+  |> Det_tbl.to_sorted_list
+
+let wide_samples =
+  QCheck.(
+    list_of_size Gen.(0 -- 40)
+      (map (fun (m, e) -> m *. (10.0 ** float_of_int e)) (pair (float_range (-1.0) 9.9) (int_range (-10) 4))))
+
+let qcheck_histogram_matches_reference =
+  QCheck.Test.make ~name:"histogram matches a sorted-bucket reference" ~count:300
+    QCheck.(pair wide_samples wide_samples)
+    (fun (xs, ys) ->
+      let h = hist_merge (hist_of_list xs) (hist_of_list ys) in
+      let buckets = reference_buckets (xs @ ys) in
+      let n = List.length (xs @ ys) in
+      let upper i = 1e-9 *. exp (float_of_int i *. log 1.02) in
+      let cdf =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (acc, pts) (i, c) ->
+                  (acc + c, (upper i, float_of_int (acc + c) /. float_of_int n) :: pts))
+                (0, []) buckets))
+      in
+      let percentile p =
+        if n = 0 then 0.0
+        else
+          let target = p /. 100.0 *. float_of_int n in
+          let rec walk acc = function
+            | [] -> Histogram.max_value h
+            | (i, c) :: rest ->
+                if float_of_int (acc + c) >= target then Float.min (upper i) (Histogram.max_value h)
+                else walk (acc + c) rest
+          in
+          walk 0 buckets
+      in
+      Histogram.cdf_points h = cdf
+      && List.for_all
+           (fun p -> Histogram.percentile h p = percentile p)
+           [ 0.0; 1.0; 50.0; 90.0; 99.0; 99.9; 100.0 ])
+
 let qcheck_percentile_monotone =
   QCheck.Test.make ~name:"histogram percentile is monotone in p" ~count:200
     QCheck.(triple pos_samples (float_bound_inclusive 100.0) (float_bound_inclusive 100.0))
@@ -230,6 +282,7 @@ let suite =
     Alcotest.test_case "stats counter" `Quick test_stats_counter;
     QCheck_alcotest.to_alcotest qcheck_percentile_bounds;
     QCheck_alcotest.to_alcotest qcheck_merge_associative;
+    QCheck_alcotest.to_alcotest qcheck_histogram_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_percentile_monotone;
     QCheck_alcotest.to_alcotest qcheck_clamp_non_positive;
     QCheck_alcotest.to_alcotest qcheck_det_tbl_order_invariant;
