@@ -323,13 +323,18 @@ let storage_get t key (version, rv_epoch) =
 
 (* ---------- the range-read pipeline ---------- *)
 
+(* The shard fragments of [\[from, until)] under the live map, in scan order. *)
+let fragments t ~reverse ~from ~until =
+  let fs = Shard_map.shards_for_range t.db.ctx.Context.shard_map ~from ~until in
+  if reverse then List.rev fs else fs
+
 (* One fragment task: drain [from, until) of a single shard fragment up to
    the given budgets, following [rr_more] continuations against the same
    replica team. Returns (rows, drained); [drained = false] means a budget
    ran out first. A [Wrong_shard] mid-walk means the shard map changed
-   under the read: re-resolve the remainder against the live map and keep
-   going (bounded by [re_resolves]) so continuations never silently
-   truncate. *)
+   under the read: re-resolve the remainder against the live map and read
+   it through the same pipeline (bounded by [re_resolves]), so
+   continuations never silently truncate. *)
 let rec fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
     ~re_resolves ~team ~from ~until =
   let db = t.db in
@@ -374,9 +379,10 @@ let rec fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
       | `Re_resolve ->
           Trace.emit "client_range_re_resolve" [ ("from", f); ("until", u) ];
           let* rows, drained =
-            seq_fragments t ~version ~rv_epoch ~reverse
+            ranged_fetch t ~version ~rv_epoch ~reverse
               ~row_limit:(row_limit - nrows) ~byte_limit:(byte_limit - nbytes)
-              ~re_resolves:(re_resolves - 1) ~from:f ~until:u
+              ~re_resolves:(re_resolves - 1)
+              (fragments t ~reverse ~from:f ~until:u)
           in
           Future.return (List.concat (List.rev acc) @ rows, drained)
       | `Batch ([], _) ->
@@ -397,88 +403,53 @@ let rec fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
   in
   go (if reverse then until else from) [] 0 0
 
-(* Sequential walk over the (freshly resolved) fragments of a range — the
-   re-resolution path after a [Wrong_shard]. *)
-and seq_fragments t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
-    ~re_resolves ~from ~until =
-  let frags =
-    let fs = Shard_map.shards_for_range t.db.ctx.Context.shard_map ~from ~until in
-    if reverse then List.rev fs else fs
-  in
-  let rec walk frags acc nrows nbytes =
-    match frags with
-    | [] -> Future.return (List.concat (List.rev acc), true)
-    | _ when nrows >= row_limit || nbytes >= byte_limit ->
-        Future.return (List.concat (List.rev acc), false)
-    | (f, u, team) :: rest ->
-        let* rows, drained =
-          fragment_fetch t ~version ~rv_epoch ~reverse
-            ~row_limit:(row_limit - nrows) ~byte_limit:(byte_limit - nbytes)
-            ~re_resolves ~team ~from:f ~until:u
-        in
-        if not drained then
-          Future.return (List.concat (List.rev (rows :: acc)), false)
-        else
-          walk rest (rows :: acc) (nrows + List.length rows)
-            (nbytes + bytes_of_rows rows)
-  in
-  walk frags [] 0 0
-
-(* The parallel pipeline: per-shard sub-reads issued concurrently with a
-   bounded fan-out window (§2.4.1: clients talk to StorageServers
-   directly, one team per shard). Fragments are consumed strictly in scan
-   order; completing one launches the next, so at most [client_range_fanout]
-   sub-reads are in flight. In-flight fragments each carry the full
-   remaining budget — they may over-fetch (bounded by fanout × budget) but
-   never under-fetch, so trimming happens client-side. *)
-let ranged_fetch t ~version ~rv_epoch ~from ~until ~reverse ~row_limit
-    ~byte_limit =
-  let db = t.db in
-  let fragments =
-    let fs = Shard_map.shards_for_range db.ctx.Context.shard_map ~from ~until in
-    if reverse then List.rev fs else fs
-  in
+(* The parallel pipeline over the fragments of one range, in scan order:
+   per-shard sub-reads issued concurrently with a bounded fan-out window
+   (§2.4.1: clients talk to StorageServers directly, one team per shard).
+   Fragments are consumed strictly in scan order; completing one launches
+   the next, so at most [client_range_fanout] sub-reads are in flight.
+   In-flight fragments each carry the full remaining budget — they may
+   over-fetch (bounded by fanout × budget) but never under-fetch, so
+   trimming happens client-side. *)
+and ranged_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit ~re_resolves
+    fragments =
   let frags = Array.of_list fragments in
   let n = Array.length frags in
   let fanout = Params.client_range_fanout in
-  Fdb_obs.Registry.set_gauge db.obs_fanout (float_of_int (min fanout (max n 1)));
-  if n = 0 then Future.return ([], true)
-  else begin
-    let tasks = Array.make n None in
-    let launch i =
-      if i < n && tasks.(i) = None then
-        let f, u, team = frags.(i) in
-        tasks.(i) <-
-          Some
-            (fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
-               ~re_resolves:3 ~team ~from:f ~until:u)
-    in
-    for i = 0 to min fanout n - 1 do
-      launch i
-    done;
-    let rec consume i acc nrows nbytes =
-      if i >= n then Future.return (List.concat (List.rev acc), true)
-      else if nrows >= row_limit || nbytes >= byte_limit then
+  let tasks = Array.make n None in
+  let launch i =
+    if i < n && tasks.(i) = None then
+      let f, u, team = frags.(i) in
+      tasks.(i) <-
+        Some
+          (fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
+             ~re_resolves ~team ~from:f ~until:u)
+  in
+  for i = 0 to min fanout n - 1 do
+    launch i
+  done;
+  let rec consume i acc nrows nbytes =
+    if i >= n then Future.return (List.concat (List.rev acc), true)
+    else if nrows >= row_limit || nbytes >= byte_limit then
+      Future.return (List.concat (List.rev acc), false)
+    else begin
+      launch i;
+      let task = Option.get tasks.(i) in
+      let* rows, drained = task in
+      launch (i + fanout);
+      let rows, cut =
+        take_budget rows ~keep_one:(nrows = 0) ~rows_left:(row_limit - nrows)
+          ~bytes_left:(byte_limit - nbytes)
+      in
+      let acc = rows :: acc in
+      if cut || not drained then
         Future.return (List.concat (List.rev acc), false)
-      else begin
-        launch i;
-        let task = Option.get tasks.(i) in
-        let* rows, drained = task in
-        launch (i + fanout);
-        let rows, cut =
-          take_budget rows ~keep_one:(nrows = 0) ~rows_left:(row_limit - nrows)
-            ~bytes_left:(byte_limit - nbytes)
-        in
-        let acc = rows :: acc in
-        if cut || not drained then
-          Future.return (List.concat (List.rev acc), false)
-        else
-          consume (i + 1) acc (nrows + List.length rows)
-            (nbytes + bytes_of_rows rows)
-      end
-    in
-    consume 0 [] 0 0
-  end
+      else
+        consume (i + 1) acc (nrows + List.length rows)
+          (nbytes + bytes_of_rows rows)
+    end
+  in
+  consume 0 [] 0 0
 
 (* ---------- reads with read-your-writes ---------- *)
 
@@ -525,8 +496,12 @@ let get ?(snapshot = false) t key =
 let read_merged t ~snap:(version, rv_epoch) ~from ~until ~reverse ~row_limit
     ~byte_limit ~conflict =
   let byte_limit = remaining_read_budget t ~want:byte_limit in
+  let frags = fragments t ~reverse ~from ~until in
+  (* Set once per read: a re-resolution inside it does not report again. *)
+  Fdb_obs.Registry.set_gauge t.db.obs_fanout
+    (float_of_int (min Params.client_range_fanout (max (List.length frags) 1)));
   let* storage_rows, drained =
-    ranged_fetch t ~version ~rv_epoch ~from ~until ~reverse ~row_limit ~byte_limit
+    ranged_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit ~re_resolves:3 frags
   in
   let got_bytes = bytes_of_rows storage_rows in
   Fdb_obs.Registry.set_gauge t.db.obs_range_bytes (float_of_int got_bytes);

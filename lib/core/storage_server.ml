@@ -519,87 +519,40 @@ let read_at t version key =
   | Window.Cleared -> None
   | Window.Unknown -> Pstore.get t.pstore key
 
-(* Merge the persistent image and the window overlay for a range read.
-   Forward scan with chunked persistent reads; candidate keys come from
-   both sources, visibility is decided per key at [version]. Stops at the
-   row or byte budget (always returning at least one row when any is
-   visible); [more = true] reports a budget cut, so the caller knows to
-   drain the rest with a continuation round-trip. *)
-let range_read t version ~from ~until ~limit ~byte_limit =
-  let limit = min limit 10_000_000 in
-  let chunk_size = min limit 10_000 + 16 in
-  let out = ref [] in
-  let count = ref 0 in
-  let bytes = ref 0 in
-  let cursor = ref from in
-  let continue = ref true in
-  let more = ref false in
-  while !continue && !count < limit && !bytes < byte_limit && !cursor < until do
-    let chunk = Pstore.get_range t.pstore ~limit:chunk_size ~from:!cursor ~until () in
-    (* This pass covers [cursor, pass_until): either the whole remaining
-       range (chunk exhausted the store) or up to the chunk's last key. *)
-    let pass_until =
-      if List.length chunk < chunk_size then until
-      else Types.next_key (fst (List.nth chunk (List.length chunk - 1)))
-    in
-    let window_keys =
-      Window.keys_in_range t.window ~from:!cursor ~until:pass_until
-      |> List.filter (fun k -> not (List.mem_assoc k chunk))
-    in
-    let candidates = List.sort_uniq compare (List.map fst chunk @ window_keys) in
-    List.iter
-      (fun k ->
-        if !count >= limit || !bytes >= byte_limit then more := true
-        else
-          match read_at t version k with
-          | Some v ->
-              out := (k, v) :: !out;
-              incr count;
-              bytes := !bytes + String.length k + String.length v
-          | None -> ())
-      candidates;
-    cursor := pass_until;
-    if pass_until >= until then continue := false
-  done;
-  if !continue && !cursor < until then more := true;
-  (List.rev !out, !more)
+(* Union of two key streams ordered by [cmp], each key once. *)
+let rec merge_keys cmp a b () =
+  match (a (), b ()) with
+  | Seq.Nil, rest | rest, Seq.Nil -> rest
+  | (Seq.Cons (x, a') as na), (Seq.Cons (y, b') as nb) ->
+      let c = cmp x y in
+      if c = 0 then Seq.Cons (x, merge_keys cmp a' b')
+      else if c < 0 then Seq.Cons (x, merge_keys cmp a' (fun () -> nb))
+      else Seq.Cons (y, merge_keys cmp (fun () -> na) b')
 
-let range_read_reverse t version ~from ~until ~limit ~byte_limit =
-  let out = ref [] in
-  let count = ref 0 in
-  let bytes = ref 0 in
-  let cursor = ref until in
-  let window_keys =
-    Window.keys_in_range t.window ~from ~until |> List.sort compare |> List.rev
-  in
-  let wk = ref window_keys in
-  let continue = ref true in
-  while !continue && !count < limit && !bytes < byte_limit do
-    let p = Pstore.prev_entry t.pstore ~before:!cursor in
-    let pk = match p with Some (k, _) when k >= from -> Some k | _ -> None in
-    let wkey = match !wk with k :: _ when k < !cursor -> Some k | _ -> None in
-    match (pk, wkey) with
-    | None, None -> continue := false
-    | _ ->
-        let k =
-          match (pk, wkey) with
-          | Some a, Some b -> if a > b then a else b
-          | Some a, None -> a
-          | None, Some b -> b
-          | None, None -> assert false
-        in
-        (match read_at t version k with
+(* A range read at [version], in scan order: the candidate keys are the
+   ordered merge of the persistent image and the window's keys, and each
+   one's visibility is decided by [read_at]. The scan stops at the row or
+   byte budget, checked before each candidate, so it returns at least one
+   row when any is visible and the budgets are positive. [more] is true
+   exactly when a candidate key is left unread, so the caller knows to
+   drain the rest with a continuation round-trip. *)
+let range_read t version ~from ~until ~reverse ~limit ~byte_limit =
+  let cmp = if reverse then fun a b -> compare b a else compare in
+  let rec scan keys out count bytes =
+    match keys () with
+    | Seq.Nil -> (List.rev out, false)
+    | Seq.Cons _ when count >= limit || bytes >= byte_limit -> (List.rev out, true)
+    | Seq.Cons (k, rest) -> (
+        match read_at t version k with
         | Some v ->
-            out := (k, v) :: !out;
-            incr count;
-            bytes := !bytes + String.length k + String.length v
-        | None -> ());
-        cursor := k;
-        wk := List.filter (fun x -> x < k) !wk
-  done;
-  (* [continue] still true here means a budget stop with candidates
-     possibly remaining below the cursor. *)
-  (List.rev !out, !continue)
+            scan rest ((k, v) :: out) (count + 1) (bytes + String.length k + String.length v)
+        | None -> scan rest out count bytes)
+  in
+  scan
+    (merge_keys cmp
+       (Seq.map fst (Pstore.to_seq t.pstore ~from ~until ~reverse))
+       (Window.keys_in_range t.window ~from ~until ~reverse))
+    [] 0 0
 
 (* ---------- RPC surface ---------- *)
 
@@ -723,7 +676,7 @@ let fetch_shard t ~from ~until ~version ~epoch ~sources =
 
 (* Median-by-bytes key of a range (DD's organic split point). *)
 let split_point t ~from ~until =
-  let rows = Pstore.get_range t.pstore ~from ~until () in
+  let rows = Pstore.get_range t.pstore ~from ~until in
   let total = List.fold_left (fun a (k, v) -> a + String.length k + String.length v) 0 rows in
   let acc = ref 0 and found = ref None in
   if total > 0 then
@@ -791,12 +744,8 @@ let handle t (msg : Message.t) : Message.t Future.t =
         Future.return (Message.Reject Error.Transaction_too_old)
       else begin
         let results, more =
-          if gr_reverse then
-            range_read_reverse t gr_version ~from:gr_from ~until:gr_until ~limit:gr_limit
-              ~byte_limit:gr_byte_limit
-          else
-            range_read t gr_version ~from:gr_from ~until:gr_until ~limit:gr_limit
-              ~byte_limit:gr_byte_limit
+          range_read t gr_version ~from:gr_from ~until:gr_until ~reverse:gr_reverse
+            ~limit:gr_limit ~byte_limit:gr_byte_limit
         in
         let* () =
           Engine.cpu t.proc
@@ -911,7 +860,7 @@ let rec create ctx proc ~id ~disk =
      a fetched snapshot — replayed mutations at or below the floor must stay
      invisible/unapplied exactly as before the crash. *)
   let incoming =
-    Pstore.get_range pstore ~from:movein_prefix ~until:(Types.strinc movein_prefix) ()
+    Pstore.get_range pstore ~from:movein_prefix ~until:(Types.strinc movein_prefix)
     |> List.filter_map (fun (k, v) ->
            if String.length v < 8 then None
            else begin

@@ -86,17 +86,15 @@ let recover ~disk ~prefix ?(checkpoint_every = 5000) () =
 
 let get t key = KeyMap.find_opt key t.map
 
-let get_range t ?(limit = max_int) ~from ~until () =
-  let out = ref [] in
-  let n = ref 0 in
-  (try
-     KeyMap.to_seq_from from t.map
-     |> Seq.iter (fun (k, v) ->
-            if k >= until || !n >= limit then raise Exit;
-            out := (k, v) :: !out;
-            incr n)
-   with Exit -> ());
-  List.rev !out
+(* The map is persistent, so the sequence reads the image as it stood when
+   it was taken, however the store changes while it is consumed. *)
+let to_seq t ~from ~until ~reverse =
+  if reverse then
+    let below, _, _ = KeyMap.split until t.map in
+    KeyMap.to_rev_seq below |> Seq.take_while (fun (k, _) -> k >= from)
+  else KeyMap.to_seq_from from t.map |> Seq.take_while (fun (k, _) -> k < until)
+
+let get_range t ~from ~until = List.of_seq (to_seq t ~from ~until ~reverse:false)
 
 let range_bytes t ~from ~until =
   if from >= until then 0
@@ -105,9 +103,6 @@ let range_bytes t ~from ~until =
     let inside, _, _ = KeyMap.split until above in
     recompute_bytes (match at_from with Some v -> KeyMap.add from v inside | None -> inside)
   end
-
-let prev_entry t ~before =
-  KeyMap.find_last_opt (fun k -> k < before) t.map
 
 let apply t mutations =
   let futures =

@@ -20,15 +20,17 @@ val recover :
 val get : t -> string -> string option
 (** Point read from the in-memory image (the B-tree cache). *)
 
-val get_range : t -> ?limit:int -> from:string -> until:string -> unit -> (string * string) list
-(** Ascending entries with [from <= key < until], at most [limit]. *)
+val to_seq : t -> from:string -> until:string -> reverse:bool -> (string * string) Seq.t
+(** The entries with [from <= key < until], ascending, or descending when
+    [reverse]. The sequence reads the image as of the call: later
+    {!apply}s do not show in it. *)
+
+val get_range : t -> from:string -> until:string -> (string * string) list
+(** The ascending entries with [from <= key < until]. *)
 
 val range_bytes : t -> from:string -> until:string -> int
 (** Sum of key+value lengths over the entries with [from <= key < until],
     without materializing them. *)
-
-val prev_entry : t -> before:string -> (string * string) option
-(** Greatest entry with key < [before] (reverse iteration support). *)
 
 val apply : t -> Mutation.t list -> unit Fdb_sim.Future.t
 (** Apply a batch in order: updates the image and appends WAL records.

@@ -27,8 +27,11 @@ val read : ?floor:int64 -> t -> int64 -> string -> read_result
     (default: none) are treated as nonexistent — used by a move destination
     whose persistent snapshot of the range already embodies them. *)
 
-val keys_in_range : t -> from:string -> until:string -> string list
-(** Keys with any window event in [\[from, until)], ascending. *)
+val keys_in_range : t -> from:string -> until:string -> reverse:bool -> string Seq.t
+(** Keys with a per-key event (set or clear) in [\[from, until)],
+    ascending, or descending when [reverse]. Keys touched only by a range
+    clear are not listed. The sequence reads the index as of the call:
+    later {!apply}s, pops and rollbacks do not show in it. *)
 
 val last_change : ?floor:int64 -> t -> string -> int64 option
 (** Newest version (> [floor]) at which any window event — per-key or a

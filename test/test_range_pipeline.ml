@@ -178,28 +178,69 @@ let stream_all ?(reverse = false) tx ~from ~until =
 (* 8 KiB values: a 64 KiB round-trip carries a handful of rows, forcing stitching. *)
 let big_value i = value i ^ String.make 8192 '.'
 
+(* Commit empty-ish transactions outside the scanned keys until every
+   storage server's [durable_version] gauge has passed [version]: from then
+   on the rows committed at or below it are served from the persistent
+   store, not the MVCC window. *)
+let wait_durable cluster db version =
+  let durable () =
+    Fdb_obs.Registry.gauges (Cluster.metrics cluster) ~role:Fdb_obs.Registry.Storage
+      "durable_version"
+    |> List.for_all (fun (_, d) -> d >= Int64.to_float version)
+  in
+  let rec wait tries =
+    if durable () then Future.return ()
+    else if tries = 0 then Future.fail (Failure "population never became durable")
+    else
+      let* _ = Client.run db (fun tx -> Client.set tx "zz/tick" "x"; Future.return ()) in
+      let* () = Engine.sleep 0.5 in
+      wait (tries - 1)
+  in
+  wait 100
+
+(* The second round committed over a settled population: a range clear,
+   point clears of every other present key, and sets just above the rest,
+   in that order. Over the store these put window clears in front of store
+   keys and window-only keys between them. *)
+let second_round present =
+  let c = List.hd present in
+  let clears = List.filteri (fun j _ -> j mod 2 = 0) present in
+  let sets = List.filteri (fun j _ -> j mod 2 = 1) present |> List.map succ in
+  ((key c, key (c + 5)), clears, sets)
+
+let round2_value i = "r2" ^ big_value i
+
 let qcheck_stream_model =
   QCheck.Test.make
     ~name:"continuation-stitched stream matches reference (with RYW)" ~count:6
     (QCheck.make
        QCheck.Gen.(
-         triple
+         quad
            (list_size (int_range 10 40) (int_range 0 60)) (* population *)
            (pair (int_range 0 60) (int_range 0 60)) (* scan bounds *)
            (triple
               (list_size (int_range 0 6) (int_range 0 70)) (* RYW sets *)
               (list_size (int_range 0 6) (int_range 0 60)) (* RYW clears *)
-              bool (* reverse *))))
-    (fun (present, (a, b), (sets, clears, reverse)) ->
+              bool (* reverse *))
+           bool (* settled: population durable, a second round in the window *)))
+    (fun (present, (a, b), (sets, clears, reverse), settled) ->
       let present = List.sort_uniq compare present in
       let lo, hi = (key (min a b), key (max a b + 1)) in
+      let (c_lo, c_hi), r2_clears, r2_sets = second_round present in
       let model =
-        let base =
+        let m =
           List.fold_left (fun m i -> M.add (key i) (big_value i) m) M.empty present
+        in
+        let m =
+          if not settled then m
+          else
+            let m = M.filter (fun k _ -> k < c_lo || k >= c_hi) m in
+            let m = List.fold_left (fun m i -> M.remove (key i) m) m r2_clears in
+            List.fold_left (fun m i -> M.add (key i) (round2_value i) m) m r2_sets
         in
         List.fold_left
           (fun m i -> M.remove (key i) m)
-          (List.fold_left (fun m i -> M.add (key i) "buffered" m) base sets)
+          (List.fold_left (fun m i -> M.add (key i) "buffered" m) m sets)
           clears
         |> M.bindings
         |> List.filter (fun (k, _) -> lo <= k && k < hi)
@@ -208,6 +249,20 @@ let qcheck_stream_model =
       with_cluster (fun cluster ->
           let db = Cluster.client cluster ~name:"stream" in
           let* () = populate ~value:big_value db present in
+          let* () =
+            if not settled then Future.return ()
+            else
+              let* population = Client.run db Client.get_read_version in
+              let* () = wait_durable cluster db population in
+              let* _ =
+                Client.run db (fun tx ->
+                    Client.clear_range tx ~from:c_lo ~until:c_hi;
+                    List.iter (fun i -> Client.clear tx (key i)) r2_clears;
+                    List.iter (fun i -> Client.set tx (key i) (round2_value i)) r2_sets;
+                    Future.return ())
+              in
+              Future.return ()
+          in
           Client.run db (fun tx ->
               List.iter (fun i -> Client.set tx (key i) "buffered") sets;
               List.iter (fun i -> Client.clear tx (key i)) clears;
@@ -215,8 +270,8 @@ let qcheck_stream_model =
               if rows = model then Future.return true
               else begin
                 Printf.printf
-                  "stream [%S,%S) reverse=%b: got %d rows, model %d\n" lo hi
-                  reverse (List.length rows) (List.length model);
+                  "stream [%S,%S) reverse=%b settled=%b: got %d rows, model %d\n" lo hi
+                  reverse settled (List.length rows) (List.length model);
                 Future.return false
               end)))
 
@@ -233,6 +288,23 @@ let test_stream_stitches_batches () =
   Alcotest.(check bool)
     (Printf.sprintf "scan was stitched from several batches (%d)" batches)
     true (batches > 3)
+
+(* A range of exactly one Iterator batch of rows streams as one batch in
+   both directions: storage reports [more] only when a key is left unread,
+   so a scan that ends on the row budget costs no empty continuation. *)
+let test_exact_batch () =
+  let n = Params.range_rows_per_batch in
+  let streamed =
+    with_cluster (fun cluster ->
+        let db = Cluster.client cluster ~name:"exact" in
+        let* () = populate db (List.init n Fun.id) in
+        Client.run db (fun tx ->
+            let* fwd, fwd_batches = stream_all tx ~from:"rp/" ~until:"rp0" in
+            let* rev, rev_batches = stream_all ~reverse:true tx ~from:"rp/" ~until:"rp0" in
+            Future.return [ (List.length fwd, fwd_batches); (List.length rev, rev_batches) ]))
+  in
+  Alcotest.(check (list (pair int int)))
+    "(rows, batches) forward, then reverse" [ (n, 1); (n, 1) ] streamed
 
 (* ---------- failover under buggified storage replies ---------- *)
 
@@ -530,6 +602,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_stream_model;
     Alcotest.test_case "tiny byte budget stitches batches" `Quick
       test_stream_stitches_batches;
+    Alcotest.test_case "a one-batch range streams as one batch" `Quick
+      test_exact_batch;
     Alcotest.test_case "failover returns identical data" `Quick
       test_failover_identical_data;
     Alcotest.test_case "shard move mid-read re-resolves" `Quick

@@ -66,11 +66,33 @@ let test_vw_version_regression_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* A directional range scan over the keys "a", "c", "e" and "g": [scan]
+   must list [\[from, until)] ascending, and the same keys descending when
+   reversed. *)
+let check_directions name scan =
+  List.iter
+    (fun (from, until, ascending) ->
+      let case reverse = Printf.sprintf "%s [%s, %s) reverse=%b" name from until reverse in
+      Alcotest.(check (list string)) (case false) ascending (scan ~from ~until ~reverse:false);
+      Alcotest.(check (list string)) (case true) (List.rev ascending)
+        (scan ~from ~until ~reverse:true))
+    [
+      ("", "\xff", [ "a"; "c"; "e"; "g" ]);
+      ("c", "g", [ "c"; "e" ]) (* inclusive from, exclusive until *);
+      ("b", "f", [ "c"; "e" ]);
+      ("c", "c", []) (* empty *);
+      ("d", "e", []);
+      ("g", "c", []) (* inverted *);
+    ]
+
 let test_vw_keys_in_range () =
   let w = Version_window.create () in
   List.iter (fun k -> Version_window.apply w 10L (Mutation.Set (k, k))) [ "a"; "c"; "e" ];
-  Alcotest.(check (list string)) "subset" [ "a"; "c" ]
-    (Version_window.keys_in_range w ~from:"a" ~until:"d")
+  Version_window.apply w 20L (Mutation.Clear "g");
+  (* A range clear names no key of its own. *)
+  Version_window.apply w 30L (Mutation.Clear_range ("h", "z"));
+  check_directions "window" (fun ~from ~until ~reverse ->
+      List.of_seq (Version_window.keys_in_range w ~from ~until ~reverse))
 
 (* --- Mutation / atomic ops --- *)
 
@@ -131,26 +153,23 @@ let test_ps_basic () =
         Future.return
           ( Persistent_store.get store "a",
             Persistent_store.get store "b",
-            Persistent_store.get_range store ~from:"a" ~until:"z" () ))
+            Persistent_store.get_range store ~from:"a" ~until:"z" ))
   in
   let a, b, range = r in
   Alcotest.(check (option string)) "a" (Some "1") a;
   Alcotest.(check (option string)) "b cleared" None b;
   Alcotest.(check (list (pair string string))) "range" [ ("a", "1"); ("c", "3") ] range
 
-let test_ps_clear_range_and_limit () =
-  let r =
+let test_ps_clear_range () =
+  let all =
     with_store (fun _disk store ->
         let muts = List.init 10 (fun i -> Mutation.Set (Printf.sprintf "k%d" i, "v")) in
         let* () = Persistent_store.apply store muts in
         let* () = Persistent_store.apply store [ Mutation.Clear_range ("k3", "k7") ] in
-        Future.return
-          ( Persistent_store.get_range store ~from:"k0" ~until:"k9\xff" (),
-            Persistent_store.get_range store ~limit:2 ~from:"k0" ~until:"k9\xff" () ))
+        Future.return (Persistent_store.get_range store ~from:"k0" ~until:"k9\xff"))
   in
-  let all, limited = r in
-  Alcotest.(check int) "cleared range" 6 (List.length all);
-  Alcotest.(check (list (pair string string))) "limit" [ ("k0", "v"); ("k1", "v") ] limited
+  Alcotest.(check (list string)) "cleared range" [ "k0"; "k1"; "k2"; "k7"; "k8"; "k9" ]
+    (List.map fst all)
 
 let test_ps_recovery_durable () =
   let r =
@@ -191,18 +210,24 @@ let test_ps_checkpoint_cycle () =
   Alcotest.(check int) "all entries back" 50 (fst r);
   Alcotest.(check int) "seq restored" 50 (snd r)
 
-let test_ps_prev_entry () =
-  let r =
-    with_store (fun _disk store ->
-        let* () =
-          Persistent_store.apply store [ Mutation.Set ("a", "1"); Mutation.Set ("c", "3") ]
-        in
-        Future.return
-          ( Persistent_store.prev_entry store ~before:"c",
-            Persistent_store.prev_entry store ~before:"a" ))
-  in
-  Alcotest.(check (option (pair string string))) "prev" (Some ("a", "1")) (fst r);
-  Alcotest.(check (option (pair string string))) "none" None (snd r)
+let test_ps_to_seq () =
+  with_store (fun _disk store ->
+      let* () =
+        Persistent_store.apply store
+          (List.map (fun k -> Mutation.Set (k, "v" ^ k)) [ "a"; "c"; "e"; "g" ])
+      in
+      check_directions "store" (fun ~from ~until ~reverse ->
+          List.of_seq (Seq.map fst (Persistent_store.to_seq store ~from ~until ~reverse)));
+      Alcotest.(check (list (pair string string))) "values ride along"
+        [ ("e", "ve"); ("c", "vc") ]
+        (List.of_seq (Persistent_store.to_seq store ~from:"b" ~until:"f" ~reverse:true));
+      (* A sequence taken before a write reads the image it was taken from. *)
+      let before = Persistent_store.to_seq store ~from:"" ~until:"z" ~reverse:false in
+      let* () = Persistent_store.apply store [ Mutation.Clear_range ("a", "z") ] in
+      Alcotest.(check int) "taken before the clear" 4 (Seq.length before);
+      Alcotest.(check int) "taken after the clear" 0
+        (Seq.length (Persistent_store.to_seq store ~from:"" ~until:"z" ~reverse:false));
+      Future.return ())
 
 let qcheck_vw_matches_naive =
   (* Random single-key histories: window reads must match a naive replay. *)
@@ -261,8 +286,8 @@ let suite =
     Alcotest.test_case "atomic compare-and-clear" `Quick test_atomic_compare_and_clear;
     Alcotest.test_case "atomic bitops" `Quick test_atomic_bitops;
     Alcotest.test_case "persistent basic" `Quick test_ps_basic;
-    Alcotest.test_case "persistent clear range + limit" `Quick test_ps_clear_range_and_limit;
+    Alcotest.test_case "persistent clear range" `Quick test_ps_clear_range;
     Alcotest.test_case "persistent recovery durability" `Quick test_ps_recovery_durable;
     Alcotest.test_case "persistent checkpoint cycle" `Quick test_ps_checkpoint_cycle;
-    Alcotest.test_case "persistent prev entry" `Quick test_ps_prev_entry;
+    Alcotest.test_case "persistent to_seq directions" `Quick test_ps_to_seq;
   ]
