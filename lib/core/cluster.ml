@@ -5,17 +5,14 @@ type t = {
   ctx : Context.t;
   hosts : Worker.host array;
   workers : Worker.t array;
-  rollup : Fdb_obs.Rollup.t;
   mutable client_count : int;
 }
 
 let context t = t.ctx
 let metrics t = t.ctx.Context.metrics
 
-(* A fresh per-role aggregate of the metrics plane (the rollup actor also
-   refreshes one every second; this computes it on demand). *)
+(* A fresh per-role aggregate of the metrics plane, computed on demand. *)
 let status_doc t = Fdb_obs.Rollup.snapshot ~now:(Engine.now ()) t.ctx.Context.metrics
-let latest_status_doc t = Fdb_obs.Rollup.latest t.rollup
 let worker_machines t = Array.map (fun h -> h.Worker.h_machine) t.hosts
 
 let log_bytes t =
@@ -95,8 +92,7 @@ let create ?(config = Config.default) () =
   let workers =
     Array.init config.Config.machines (fun i -> Worker.create ctx hosts.(i) ~machine_id:i)
   in
-  let rollup = Fdb_obs.Rollup.start ctx.Context.metrics in
-  { ctx; hosts; workers; rollup; client_count = 0 }
+  { ctx; hosts; workers; client_count = 0 }
 
 let next_client_machine_id = 100_000
 

@@ -36,7 +36,3 @@ val metrics : t -> Fdb_obs.Registry.t
 
 val status_doc : t -> Fdb_obs.Rollup.doc
 (** Aggregate the registry into a per-role status document right now. *)
-
-val latest_status_doc : t -> Fdb_obs.Rollup.doc option
-(** The most recent document produced by the periodic roll-up actor
-    (None until the first interval elapses). *)

@@ -52,7 +52,7 @@ let test_distinct_seeds_distinct_streams () =
    A change that alters timing on purpose re-baselines by pasting the csum=
    values printed by `dune exec bin/fdb_sim.exe -- swarm --seeds 2
    --duration 10` below, and says so in its description. *)
-let golden_checksums = [ (1L, 0xfbe1ab3594aa66e5L); (2L, 0xc930a4c406d14d22L) ]
+let golden_checksums = [ (1L, 0x2241bb3cd30de855L); (2L, 0x4606021ebb7f7068L) ]
 
 let test_golden_checksums () =
   List.iter
@@ -68,7 +68,7 @@ let test_golden_checksums () =
    scans — pinned the same way: swarm seed 1 with the layer soak on.
    Re-baseline from `dune exec bin/fdb_sim.exe -- swarm --seeds 1
    --duration 10 --layers`. *)
-let golden_layers_checksum = (1L, 0x64d8183c2a7cb473L)
+let golden_layers_checksum = (1L, 0x1e35e75b53b38d71L)
 
 let test_golden_layers_checksum () =
   let seed, golden = golden_layers_checksum in

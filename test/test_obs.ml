@@ -124,24 +124,6 @@ let test_rollup_json_shape () =
       "\"p99_ms\":";
     ]
 
-let test_rollup_actor_updates () =
-  let latest =
-    Engine.run ~seed:3L ~max_time:100.0 (fun () ->
-        let reg = Registry.create () in
-        Registry.incr (Registry.counter reg ~role:Registry.Client ~process:0 "ops") ~by:3;
-        let ru = Rollup.start ~interval:0.5 reg in
-        Alcotest.(check bool) "no doc before first interval" true (Rollup.latest ru = None);
-        let* () = Engine.sleep 1.6 in
-        Rollup.stop ru;
-        Future.return (Rollup.latest ru))
-  in
-  match latest with
-  | Some doc ->
-      Alcotest.(check bool) "rolled up at simulated time" true
-        (doc.Rollup.d_time >= 1.0 && doc.Rollup.d_time <= 1.6);
-      Alcotest.(check int) "one role" 1 (List.length doc.Rollup.d_roles)
-  | None -> Alcotest.fail "roll-up actor produced no document"
-
 (* ---------- the index against the sort-everything reference ---------- *)
 
 (* The reference reads the registry the way it did before the (role,
@@ -358,7 +340,6 @@ let suite =
     Alcotest.test_case "serialize canonical order" `Quick test_serialize_canonical_order;
     Alcotest.test_case "rollup aggregates per role" `Quick test_rollup_aggregates_per_role;
     Alcotest.test_case "rollup json shape" `Quick test_rollup_json_shape;
-    Alcotest.test_case "rollup actor updates" `Quick test_rollup_actor_updates;
     QCheck_alcotest.to_alcotest qcheck_index_matches_reference;
     Alcotest.test_case "metrics dump deterministic" `Slow test_determinism_same_seed;
   ]
